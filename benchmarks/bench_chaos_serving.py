@@ -91,8 +91,6 @@ GRAPH_PARAMS = dict(
 #: injected 2.5 s compute stall, so 504s in the chaos window are exactly
 #: the deliberate ones.
 SERVER = ServerConfig(
-    max_batch_size=16,
-    batch_linger_ms=0.5,
     max_concurrency=4,
     request_timeout_s=1.5,
     refresh_retries=2,
@@ -303,8 +301,8 @@ async def phase_chaos_load(server, holder, round_counter) -> dict:
     schedule = ZipfSchedule(queries, alpha=ZIPF_ALPHA, seed=11)
     window_plan = faults.FaultPlan(
         [
-            # Stalls two compute batches past the 1.5 s deadline: their
-            # requests become deliberate 504s, nothing else does.
+            # Stalls two requests' compute past the 1.5 s deadline: they
+            # become deliberate 504s, nothing else does.
             faults.FaultSpec("serving.compute", latency_s=2.5, times=2),
             # Two refresh outages mid-load, absorbed by retries.
             faults.FaultSpec("engine.refresh", error="mid-run outage", times=2),

@@ -84,7 +84,7 @@ GRAPH_PARAMS = dict(
 #: exercises eviction + recompute under concurrent serving.
 CACHE_SIZE = 128
 
-SERVER = ServerConfig(max_batch_size=16, batch_linger_ms=0.5, max_concurrency=4)
+SERVER = ServerConfig(max_concurrency=4)
 
 ARTIFACT_PATH = Path(__file__).resolve().parent / "BENCH_serving_load.json"
 
@@ -227,8 +227,6 @@ def write_artifact(results: dict) -> None:
             "degradation_factor": DEGRADATION_FACTOR,
             "min_baseline_p99_ms": MIN_BASELINE_P99_MS,
             "server": {
-                "max_batch_size": SERVER.max_batch_size,
-                "batch_linger_ms": SERVER.batch_linger_ms,
                 "max_concurrency": SERVER.max_concurrency,
             },
         },

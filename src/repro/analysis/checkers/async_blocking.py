@@ -1,8 +1,8 @@
 """RL002: no blocking calls on the event loop.
 
 The serving tier is a single asyncio event loop; one blocking call in an
-``async def`` stalls every in-flight request behind it (the micro-batcher,
-the connection handlers, the health endpoint -- all of it).  The
+``async def`` stalls every in-flight request behind it (the connection
+handlers, the rewrite path, the health endpoint -- all of it).  The
 convention since the serving tier landed is that blocking work goes
 through ``loop.run_in_executor`` on the serve/admin thread pools.  This
 checker enforces it inside every ``async def`` body:

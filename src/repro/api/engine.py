@@ -576,10 +576,9 @@ class RewriteEngine:
 
         Repeated queries within the batch are deduplicated: each unique
         query hits the score store / serving cache exactly once and the
-        duplicates are served from a batch-local memo (micro-batched online
-        traffic makes duplicate-heavy batches the common case, and with a
-        bounded cache a duplicate re-seen after churn would otherwise pay a
-        full recompute).  Duplicate occurrences count as cache hits in
+        duplicates are served from a batch-local memo (with a bounded cache
+        a duplicate re-seen after churn would otherwise pay a full
+        recompute).  Duplicate occurrences count as cache hits in
         :meth:`cache_info` -- they are served without a similarity scan.
         """
         memo: Dict[Node, RewriteList] = {}

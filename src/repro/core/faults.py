@@ -57,8 +57,9 @@ Instrumented points (grep for ``faults.fire`` / ``faults.claim``):
                        ``crash=True`` kills a real worker (the parent
                        sees ``BrokenProcessPool``).
 ``serving.request``    request routing in the HTTP server.
-``serving.compute``    the executor-thread batch compute (inject latency
-                       here to trip per-request deadlines).
+``serving.compute``    one request's compute in a serving-pool thread,
+                       once per executor call (inject latency here to
+                       trip per-request deadlines).
 ===================== ====================================================
 """
 

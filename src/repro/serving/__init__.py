@@ -11,7 +11,8 @@ an actual network service:
   to the side and publish it atomically.
 * :class:`~repro.serving.server.RewriteServer` /
   :class:`~repro.serving.server.ServerConfig` -- stdlib-asyncio HTTP server
-  with request micro-batching, bounded concurrency and graceful draining.
+  with bounded in-flight admission, a bounded serving pool and graceful
+  draining.
 * :mod:`~repro.serving.loadgen` -- Zipf-skewed hot/cold load generator and
   latency reporting (:class:`~repro.serving.loadgen.ZipfSchedule`,
   :func:`~repro.serving.loadgen.run_load`).

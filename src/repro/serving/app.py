@@ -108,23 +108,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8641, help="listen port (0 = ephemeral)"
     )
     net.add_argument(
-        "--batch-size",
-        type=int,
-        default=32,
-        help="max requests coalesced into one executor micro-batch",
-    )
-    net.add_argument(
-        "--linger-ms",
-        type=float,
-        default=1.0,
-        help="how long the batcher waits for more requests before dispatching",
-    )
-    net.add_argument(
         "--concurrency",
         type=int,
         default=None,
         help=(
-            "micro-batches allowed in executor threads at once "
+            "serving thread-pool size: requests computed at once "
             "(default: sized to the CPUs available to this process)"
         ),
     )
@@ -132,7 +120,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--queue-size",
         type=int,
         default=1024,
-        help="request queue bound; beyond it requests get HTTP 503",
+        help="bound on in-flight /rewrite requests; beyond it requests get HTTP 503",
     )
     net.add_argument(
         "--serve-seconds",
@@ -200,7 +188,6 @@ async def _serve(
     engine: RewriteEngine,
     config: ServerConfig,
     serve_seconds: Optional[float],
-    out=sys.stdout,
 ) -> None:
     holder = EngineHolder(engine)
     server = RewriteServer(holder, config)
@@ -211,7 +198,6 @@ async def _serve(
         f"(engine version {holder.version}, "
         f"{'fitted' if engine.is_fitted else 'unfitted'}); "
         "endpoints: /rewrite /rewrite_batch /refresh /reload /healthz /stats",
-        file=out,
         flush=True,
     )
     stop = asyncio.Event()
@@ -233,7 +219,6 @@ async def _serve(
         print(
             "shut down after draining; final engine version "
             f"{version}, cache {json.dumps(dataclasses.asdict(engine_now.cache_info()))}",
-            file=out,
             flush=True,
         )
 
@@ -250,8 +235,6 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     config = ServerConfig(
         host=args.host,
         port=args.port,
-        max_batch_size=args.batch_size,
-        batch_linger_ms=args.linger_ms,
         max_concurrency=args.concurrency,
         queue_size=args.queue_size,
         request_timeout_s=args.request_timeout,

@@ -105,7 +105,7 @@ class EngineHolder:
     def current(self) -> Tuple[RewriteEngine, int]:
         """The published ``(engine, version)`` pair, read atomically.
 
-        Serve a whole request (or micro-batch) against one ``current()``
+        Serve a whole request against one ``current()``
         result: re-reading mid-request could cross a swap and mix two
         engine versions in one response.
         """

@@ -5,8 +5,7 @@ a long cold tail trickles.  Following the cold-start traffic-replay design
 of the Adjacent experiment (SNIPPETS.md §3), :class:`ZipfSchedule` assigns
 each query a power-law popularity (``weight(rank) = rank ** -alpha``,
 alpha ~ 1.2) and samples a replayable request schedule from it, so a load
-run exercises exactly the hot/cold mix the serving cache and micro-batcher
-are built for.
+run exercises exactly the hot/cold mix the serving cache is built for.
 
 :func:`run_load` replays a schedule against a running
 :class:`~repro.serving.server.RewriteServer` over ``concurrency``
@@ -54,8 +53,8 @@ class ZipfSchedule:
     hottest.  Rank ``r`` (1-based) gets sampling weight ``r ** -alpha``;
     with the default ``alpha=1.2`` (the Adjacent experiment's choice) the
     head of the distribution dominates while every cold-tail query still
-    appears eventually -- the mix that makes bounded serving caches and
-    duplicate-deduplicating micro-batches earn their keep.
+    appears eventually -- the mix that makes bounded serving caches earn
+    their keep.
     """
 
     def __init__(

@@ -8,18 +8,18 @@ bodies, keep-alive).
 
 Request flow::
 
-    client -> POST /rewrite -> bounded queue -> micro-batcher
-           -> (semaphore slot) -> executor thread: engine.rewrite_batch
-           -> futures resolved -> JSON response (with the engine version)
+    client -> POST /rewrite -> admit (at most queue_size in flight, else 503)
+           -> holder.current(): one (engine, version) pair
+           -> serve-pool thread: engine.rewrite_batch (deadline, else 504)
+           -> JSON response (with the engine version)
 
-Single-query requests arriving close together are coalesced into one
-executor batch (``ServerConfig.max_batch_size`` / ``batch_linger_ms``), so
-duplicate-heavy traffic hits the engine's per-batch dedup and the serving
-cache instead of paying one executor hop per request.  Each request's
-response is computed against **one** :class:`~repro.serving.holder.
-EngineHolder` snapshot -- an ``(engine, version)`` pair read atomically --
-so refreshes running concurrently can never produce a torn response that
-mixes two engine versions.
+Each request goes straight to the serve pool, whose ``max_workers`` is the
+concurrency bound; ``engine.rewrite_batch`` deduplicates within a request
+and the engine's LRU absorbs repeats across requests.  Each response is
+computed against **one** :class:`~repro.serving.holder.EngineHolder`
+snapshot -- an ``(engine, version)`` pair read atomically -- so refreshes
+running concurrently can never produce a torn response that mixes two
+engine versions.
 
 Endpoints (all request/response bodies are JSON):
 
@@ -37,12 +37,15 @@ Endpoints (all request/response bodies are JSON):
     Health state (``healthy`` / ``degraded`` / ``draining``), current
     engine version + staleness age, circuit-breaker state.
 ``GET /stats``
-    Serving counters, queue/batch state, latency percentiles, cache info,
+    Serving counters, dispatch counters, latency percentiles, cache info,
     and the resilience ledger (publish failures, retries, breaker).
 
+Malformed framing (request line, ``Content-Length``, any
+``Transfer-Encoding``) is answered with 400 and ``Connection: close``.
+
 Shutdown is graceful: :meth:`RewriteServer.stop` stops accepting, lets the
-queued and in-flight requests finish (bounded by
-``ServerConfig.drain_timeout_s``), then tears down the connections and
+in-flight requests finish (bounded by ``ServerConfig.drain_timeout_s``),
+then closes the connections -- idle keep-alive ones included -- and the
 executors.
 """
 
@@ -88,24 +91,21 @@ class ServerConfig:
         Listen address; port ``0`` binds an ephemeral port (read the real
         one from :attr:`RewriteServer.address` -- the tests and benchmarks
         run this way so parallel runs never collide).
-    max_batch_size:
-        Most requests coalesced into one executor micro-batch.
-    batch_linger_ms:
-        How long the batcher waits for more requests after the first one
-        before dispatching a partial batch.  ``0`` dispatches whatever is
-        already queued without waiting (lowest latency, smallest batches).
     max_concurrency:
-        Micro-batches allowed in executor threads at once (the semaphore
-        bound); also sizes the serving thread pool.  ``None`` (the default)
-        sizes the pool to the CPUs actually *available* to this process
-        (cgroup/affinity-aware, never below 2), so containers pinned to a
-        CPU subset are not oversubscribed.
+        Size of the serving thread pool, and so the number of requests
+        computed at once; admitted requests beyond it wait in the pool's
+        work queue.  ``None`` (the default) sizes the pool to the CPUs
+        actually *available* to this process (cgroup/affinity-aware, never
+        below 2), so containers pinned to a CPU subset are not
+        oversubscribed.
     queue_size:
-        Bound of the request queue; requests beyond it are rejected with
-        HTTP 503 instead of growing an unbounded backlog.
+        Bound on admitted in-flight ``/rewrite`` and ``/rewrite_batch``
+        requests (computing or waiting for a pool thread); requests beyond
+        it are rejected with HTTP 503 instead of growing an unbounded
+        backlog.
     drain_timeout_s:
-        How long :meth:`RewriteServer.stop` waits for queued + in-flight
-        requests to finish before force-closing.
+        How long :meth:`RewriteServer.stop` waits for in-flight requests to
+        finish before force-closing.
     max_request_bytes:
         Request bodies larger than this are rejected with HTTP 413.
     latency_window:
@@ -113,10 +113,10 @@ class ServerConfig:
         percentiles in ``/stats`` are computed over.
     request_timeout_s:
         Per-request deadline for ``/rewrite`` and ``/rewrite_batch``.
-        A request whose batch has not resolved within the budget gets
-        HTTP 504 and its future is cancelled; the engine itself is only
-        ever *read* by serving, so a timed-out request can never leave
-        state inconsistent.  ``None`` (the default) disables deadlines.
+        A request not answered within the budget gets HTTP 504, and its
+        work is cancelled if no pool thread has started it yet.  The engine
+        is only ever *read* by serving, so a timed-out request can never
+        leave state inconsistent.  ``None`` (the default) disables deadlines.
     refresh_retries / refresh_backoff_s / refresh_backoff_max_s:
         Transient ``/refresh`` and ``/reload`` failures are retried this
         many times with exponential backoff (seeded jitter, see
@@ -133,8 +133,6 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    max_batch_size: int = 32
-    batch_linger_ms: float = 1.0
     max_concurrency: Optional[int] = None
     queue_size: int = 1024
     drain_timeout_s: float = 10.0
@@ -148,10 +146,6 @@ class ServerConfig:
     breaker_reset_s: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.max_batch_size < 1:
-            raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.batch_linger_ms < 0:
-            raise ValueError(f"batch_linger_ms must be >= 0, got {self.batch_linger_ms}")
         if self.max_concurrency is not None and self.max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
         if self.queue_size < 1:
@@ -298,25 +292,14 @@ class _Request:
 
 
 @dataclass
-class _WorkItem:
-    """One request's queries, answered as a unit against one engine version."""
-
-    queries: Tuple[Node, ...]
-    future: "asyncio.Future[Tuple[int, List[List[Dict[str, Any]]]]]"
-    enqueued_at: float = 0.0
-
-
-@dataclass
 class _Counters:
     requests: int = 0
     responses: Dict[int, int] = field(default_factory=dict)
     endpoints: Dict[str, int] = field(default_factory=dict)
     rewrites_served: int = 0
-    batches: int = 0
-    batched_requests: int = 0
-    max_batch: int = 0
+    dispatches: int = 0
     rejected_queue_full: int = 0
-    queue_high_water: int = 0
+    in_flight_high_water: int = 0
     refreshes: int = 0
     reloads: int = 0
     timeouts: int = 0
@@ -343,7 +326,7 @@ class RewriteServer:
 
     The server never blocks traffic on a refit: ``/refresh`` and
     ``/reload`` run in a single-worker admin executor and publish through
-    the holder's copy-on-write swap, while rewrite micro-batches keep
+    the holder's copy-on-write swap, while rewrite requests keep
     executing against the previously published engine.
     """
 
@@ -354,14 +337,10 @@ class RewriteServer:
         self._config = config or ServerConfig()
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Optional["asyncio.Queue[_WorkItem]"] = None
-        self._semaphore: Optional[asyncio.Semaphore] = None
-        self._dispatcher: Optional["asyncio.Task[None]"] = None
         self._serve_executor: Optional[ThreadPoolExecutor] = None
         self._admin_executor: Optional[ThreadPoolExecutor] = None
-        self._batch_tasks: set = set()
-        self._conn_tasks: set = set()
-        self._pending: set = set()
+        self._connections: Dict["asyncio.Task[Any]", asyncio.StreamWriter] = {}
+        self._in_flight = 0
         self._draining = False
         self._counters = _Counters()
         self._latency = LatencyWindow(self._config.latency_window)
@@ -395,15 +374,12 @@ class RewriteServer:
         return name[0], name[1]
 
     async def start(self) -> "RewriteServer":
-        """Bind the listen socket and start the micro-batch dispatcher."""
+        """Start the serving and admin executors and bind the listen socket."""
         if self._server is not None:
             raise RuntimeError("server already started")
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue(maxsize=self._config.queue_size)
-        concurrency = self._config.resolved_concurrency()
-        self._semaphore = asyncio.Semaphore(concurrency)
         self._serve_executor = ThreadPoolExecutor(
-            max_workers=concurrency,
+            max_workers=self._config.resolved_concurrency(),
             thread_name_prefix="repro-serve",
         )
         # Refresh/reload get their own single worker: a long refit must not
@@ -416,7 +392,6 @@ class RewriteServer:
         self._server = await asyncio.start_server(
             self._handle_connection, host=self._config.host, port=self._config.port
         )
-        self._dispatcher = self._loop.create_task(self._dispatch_loop())
         self._started_at = self._loop.time()
         return self
 
@@ -424,9 +399,10 @@ class RewriteServer:
         """Graceful shutdown: stop accepting, drain, then tear down.
 
         New requests are rejected with 503 the moment draining starts;
-        queued and in-flight requests are given ``drain_timeout_s``
-        (default: the config's) to finish, after which any survivors are
-        failed and the connections closed.
+        in-flight requests are given ``drain_timeout_s`` (default: the
+        config's) to finish.  Then every connection still open is aborted:
+        an idle keep-alive one reads EOF, and a request the drain window
+        did not cover loses its response once its compute returns.
         """
         if self._server is None:
             return
@@ -435,31 +411,23 @@ class RewriteServer:
         )
         self._draining = True
         self._server.close()
-        await self._server.wait_closed()
-        assert self._loop is not None and self._queue is not None
+        assert self._loop is not None
         deadline = self._loop.time() + timeout
-        while (
-            not self._queue.empty() or self._batch_tasks or self._pending
-        ) and self._loop.time() < deadline:
+        while self._in_flight and self._loop.time() < deadline:
             await asyncio.sleep(0.005)
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._dispatcher
-        # Fail whatever the drain window did not cover, so no client hangs.
-        for fut in list(self._pending):
-            if not fut.done():
-                fut.set_exception(_HttpError(503, "server shutting down"))
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        # Abort rather than cancel: each handler then ends on its own normal
+        # path (EOF or a failed write), and none dies with a CancelledError
+        # that asyncio would report as an unhandled error.
+        for writer in self._connections.values():
+            writer.transport.abort()
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        # Only now: from Python 3.12 this also waits for every connection.
+        await self._server.wait_closed()
         if self._serve_executor is not None:
             self._serve_executor.shutdown(wait=True)
         if self._admin_executor is not None:
             self._admin_executor.shutdown(wait=True)
         self._server = None
-        self._dispatcher = None
 
     async def __aenter__(self) -> "RewriteServer":
         return await self.start()
@@ -467,119 +435,53 @@ class RewriteServer:
     async def __aexit__(self, *exc_info: object) -> None:
         await self.stop()
 
-    # ---------------------------------------------------------- micro-batcher
+    # ------------------------------------------------------------ rewrite path
 
-    async def _submit(self, queries: Sequence[Node]) -> Tuple[int, List[List[Dict[str, Any]]]]:
-        """Enqueue one request's queries; resolves to (version, per-query rows)."""
-        assert self._loop is not None and self._queue is not None
+    async def _serve(self, queries: Sequence[Node]) -> Tuple[int, List[List[Dict[str, Any]]]]:
+        """Answer one request's queries in the serve pool: (version, rows)."""
+        assert self._loop is not None
         if self._draining:
             raise _HttpError(503, "server is draining")
-        item = _WorkItem(
-            queries=tuple(queries),
-            future=self._loop.create_future(),
-            enqueued_at=self._loop.time(),
-        )
-        try:
-            self._queue.put_nowait(item)
-        except asyncio.QueueFull:
+        if self._in_flight >= self._config.queue_size:
             self._counters.rejected_queue_full += 1
-            raise _HttpError(503, "request queue is full") from None
-        self._counters.queue_high_water = max(
-            self._counters.queue_high_water, self._queue.qsize()
+            raise _HttpError(503, "request queue is full")
+        self._in_flight += 1
+        self._counters.in_flight_high_water = max(
+            self._counters.in_flight_high_water, self._in_flight
         )
-        self._pending.add(item.future)
-        item.future.add_done_callback(self._pending.discard)
+        # One atomic holder read per request: the whole response comes from
+        # this engine version, torn responses impossible.
+        engine, version = self._holder.current()
         timeout = self._config.request_timeout_s
-        if timeout is None:
-            return await item.future
         try:
-            # wait_for cancels the future on timeout; _run_batch checks
-            # ``future.done()`` before resolving, so a timed-out request is
-            # simply skipped when its batch completes.  Serving only ever
+            # On timeout wait_for cancels the executor future, which drops
+            # the work if no pool thread has started it.  Serving only ever
             # *reads* the published engine -- a deadline can cut a response
             # short but never leave engine state inconsistent.
-            return await asyncio.wait_for(item.future, timeout)
+            rows = await asyncio.wait_for(
+                self._loop.run_in_executor(
+                    self._serve_executor, self._compute, engine, queries
+                ),
+                timeout,
+            )
         except asyncio.TimeoutError:
             self._counters.timeouts += 1
-            raise _HttpError(
-                504, f"request deadline of {timeout}s exceeded"
-            ) from None
-
-    async def _dispatch_loop(self) -> None:
-        """Coalesce queued requests into micro-batches and run them."""
-        assert self._loop is not None and self._queue is not None
-        assert self._semaphore is not None
-        linger_s = self._config.batch_linger_ms / 1000.0
-        while True:
-            batch = [await self._queue.get()]
-            if linger_s > 0:
-                deadline = self._loop.time() + linger_s
-                while len(batch) < self._config.max_batch_size:
-                    remaining = deadline - self._loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(self._queue.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            else:
-                while len(batch) < self._config.max_batch_size:
-                    try:
-                        batch.append(self._queue.get_nowait())
-                    except asyncio.QueueEmpty:
-                        break
-            # The semaphore is the concurrency bound: at most
-            # max_concurrency batches in executor threads at once; further
-            # batches wait here, applying backpressure through the queue.
-            await self._semaphore.acquire()
-            task = self._loop.create_task(self._run_batch(batch))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
-
-    async def _run_batch(self, batch: List[_WorkItem]) -> None:
-        assert self._loop is not None and self._semaphore is not None
-        try:
-            # One atomic holder read per batch: every request in the batch
-            # is answered by this engine version, torn responses impossible.
-            engine, version = self._holder.current()
-            unique = list(
-                dict.fromkeys(query for item in batch for query in item.queries)
-            )
-            try:
-                rows = await self._loop.run_in_executor(
-                    self._serve_executor, self._compute, engine, unique
-                )
-            except Exception as exc:  # noqa: BLE001 -- forwarded to clients
-                for item in batch:
-                    if not item.future.done():
-                        item.future.set_exception(
-                            _HttpError(500, f"rewrite failed: {exc}")
-                        )
-                return
-            self._counters.batches += 1
-            self._counters.batched_requests += len(batch)
-            self._counters.max_batch = max(self._counters.max_batch, len(batch))
-            self._counters.rewrites_served += len(unique)
-            for item in batch:
-                if not item.future.done():
-                    item.future.set_result(
-                        (version, [rows[query] for query in item.queries])
-                    )
+            raise _HttpError(504, f"request deadline of {timeout}s exceeded") from None
+        except Exception as exc:  # noqa: BLE001 -- forwarded to the client
+            raise _HttpError(500, f"rewrite failed: {exc}") from exc
         finally:
-            self._semaphore.release()
+            self._in_flight -= 1
+        self._counters.dispatches += 1
+        self._counters.rewrites_served += len(set(queries))
+        return version, rows
 
     @staticmethod
     def _compute(
-        engine: RewriteEngine, unique: List[Node]
-    ) -> Dict[Node, List[Dict[str, Any]]]:
-        """Executor-thread body: serve the deduplicated batch off one engine."""
+        engine: RewriteEngine, queries: Sequence[Node]
+    ) -> List[List[Dict[str, Any]]]:
+        """Executor-thread body: serve one request's queries off one engine."""
         faults.fire("serving.compute")
-        results = engine.rewrite_batch(unique)
-        return {
-            query: _rewrites_payload(result) for query, result in zip(unique, results)
-        }
+        return [_rewrites_payload(result) for result in engine.rewrite_batch(queries)]
 
     # ------------------------------------------------------------- connection
 
@@ -588,12 +490,13 @@ class RewriteServer:
     ) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._conn_tasks.add(task)
+            self._connections[task] = writer
         try:
             while True:
                 try:
                     request = await self._read_request(reader)
                 except _HttpError as exc:
+                    self._count_status(exc.status)
                     await self._write_response(
                         writer, exc.status, {"error": exc.message}, keep_alive=False
                     )
@@ -612,11 +515,13 @@ class RewriteServer:
         ):
             pass
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
+            # Deregister last, so stop() can still abort a close stuck on a
+            # peer that stopped reading.
+            if task is not None:
+                self._connections.pop(task, None)
 
     async def _read_request(self, reader: asyncio.StreamReader) -> Optional[_Request]:
         line = await reader.readline()
@@ -633,11 +538,19 @@ class RewriteServer:
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        if "transfer-encoding" in headers:
+            raise _HttpError(400, "Transfer-Encoding is not supported; send Content-Length")
+        length_header = headers.get("content-length", "0")
+        if not (length_header.isascii() and length_header.isdigit()):
+            raise _HttpError(400, f"malformed Content-Length {length_header!r}")
+        length = int(length_header)
         if length > self._config.max_request_bytes:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
         return _Request(method=method, path=path, headers=headers, body=body)
+
+    def _count_status(self, status: int) -> None:
+        self._counters.responses[status] = self._counters.responses.get(status, 0) + 1
 
     async def _respond(self, request: _Request) -> Tuple[int, Dict[str, Any]]:
         self._counters.requests += 1
@@ -655,7 +568,7 @@ class RewriteServer:
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         if request.path in ("/rewrite", "/rewrite_batch") and status == 200:
             self._latency.record((self._loop.time() - started) * 1000.0)
-        self._counters.responses[status] = self._counters.responses.get(status, 0) + 1
+        self._count_status(status)
         return status, payload
 
     async def _route(self, request: _Request) -> Dict[str, Any]:
@@ -683,7 +596,7 @@ class RewriteServer:
         query = payload.get("query")
         if not isinstance(query, str) or not query:
             raise _HttpError(400, "body must carry a non-empty string 'query'")
-        version, rows = await self._submit((query,))
+        version, rows = await self._serve((query,))
         return {"version": version, "query": query, "rewrites": rows[0]}
 
     async def _handle_rewrite_batch(self, request: _Request) -> Dict[str, Any]:
@@ -693,7 +606,7 @@ class RewriteServer:
             raise _HttpError(400, "body must carry a non-empty list 'queries'")
         if not all(isinstance(query, str) and query for query in queries):
             raise _HttpError(400, "every entry of 'queries' must be a non-empty string")
-        version, rows = await self._submit(queries)
+        version, rows = await self._serve(queries)
         return {
             "version": version,
             "results": [
@@ -828,7 +741,7 @@ class RewriteServer:
         }
 
     async def _handle_stats(self, request: _Request) -> Dict[str, Any]:
-        assert self._loop is not None and self._queue is not None
+        assert self._loop is not None
         engine, version = self._holder.current()
         counters = self._counters
         return {
@@ -859,19 +772,15 @@ class RewriteServer:
                 "rejected_queue_full": counters.rejected_queue_full,
                 "timeouts": counters.timeouts,
             },
+            # One executor dispatch per request, so batches == batched_requests,
+            # max_batch is 1 once any request has run, and queue_high_water is
+            # the peak of admitted in-flight requests.
             "batching": {
-                "batches": counters.batches,
-                "batched_requests": counters.batched_requests,
-                "mean_batch": (
-                    counters.batched_requests / counters.batches
-                    if counters.batches
-                    else 0.0
-                ),
-                "max_batch": counters.max_batch,
+                "batches": counters.dispatches,
+                "batched_requests": counters.dispatches,
+                "max_batch": min(counters.dispatches, 1),
                 "unique_rewrites_served": counters.rewrites_served,
-                "queue_depth": self._queue.qsize(),
-                "queue_high_water": counters.queue_high_water,
-                "in_flight_batches": len(self._batch_tasks),
+                "queue_high_water": counters.in_flight_high_water,
             },
             "refreshes": counters.refreshes,
             "reloads": counters.reloads,

@@ -1,4 +1,4 @@
-"""RewriteServer: endpoints, micro-batching, refresh-under-traffic consistency.
+"""RewriteServer: endpoints, admission, framing, shutdown, refresh-under-traffic.
 
 The concurrency test here is the serving tier's acceptance contract: N
 async clients hammer ``/rewrite`` while refresh and hot-reload cycles swap
@@ -8,11 +8,13 @@ version that served it -- pre- or post-swap, never a mixture.
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.api.config import EngineConfig
 from repro.api.engine import RewriteEngine
+from repro.core import faults
 from repro.core.config import SimrankConfig
 from repro.graph.delta import DeltaBuilder
 from repro.serving import (
@@ -21,9 +23,61 @@ from repro.serving import (
     ServerConfig,
     ZipfSchedule,
     delta_to_payload,
+    http_request,
     request_once,
     run_load,
 )
+
+
+def run_strict(scenario):
+    """Run ``scenario()`` and fail if asyncio reports any unhandled error.
+
+    A connection handler that dies with an exception (or is cancelled) is
+    reported through the loop's exception handler, not raised to the test.
+    """
+    reported = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: reported.append(context)
+        )
+        return await scenario()
+
+    result = asyncio.run(main())
+    assert not reported, [
+        (context.get("message"), repr(context.get("exception"))) for context in reported
+    ]
+    return result
+
+
+async def wait_in_flight(host, port):
+    """Poll /stats until a rewrite request has been admitted."""
+    for _ in range(200):
+        _, stats = await request_once(host, port, "GET", "/stats")
+        if stats["batching"]["queue_high_water"] >= 1:
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("no rewrite request was ever in flight")
+
+
+async def raw_exchange(host, port, data):
+    """Send raw bytes and read until the server closes: (status, headers, body, rest)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(data)
+        await writer.drain()
+        reply = await asyncio.wait_for(reader.read(), timeout=5)
+    finally:
+        writer.close()
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0].startswith("HTTP/1.1 "), reply
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, _, value in (line.partition(":") for line in lines[1:])
+    }
+    length = int(headers["content-length"])
+    return int(lines[0].split()[1]), headers, json.loads(rest[:length]), rest[length:]
 
 
 def build_engine(graph, cache_size=None, tolerance=1e-8):
@@ -164,7 +218,14 @@ class TestEndpoints:
         assert status == 200
         assert stats["requests"]["total"] == 4  # 3 rewrites + the /stats call itself
         assert stats["requests"]["by_endpoint"]["/rewrite"] == 3
-        assert stats["batching"]["batches"] >= 1
+        # One executor dispatch per request; the requests ran one at a time.
+        assert stats["batching"] == {
+            "batches": 3,
+            "batched_requests": 3,
+            "max_batch": 1,
+            "unique_rewrites_served": 3,
+            "queue_high_water": 1,
+        }
         assert stats["engine"]["version"] == 1
         assert stats["engine"]["cache"]["size"] >= 1
         assert stats["latency_ms"]["count"] == 3
@@ -234,7 +295,129 @@ class TestErrors:
         assert s3 == 200 and health["version"] == 2  # nothing was published
 
 
+class TestFraming:
+    MALFORMED = {
+        "non-numeric length": (
+            b"POST /rewrite HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            "Content-Length",
+        ),
+        "negative length": (
+            b"POST /rewrite HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            "Content-Length",
+        ),
+        # Headers only: the server answers before reading any chunk.
+        "chunked body": (
+            b"POST /rewrite HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+            "Transfer-Encoding",
+        ),
+    }
+
+    def test_malformed_framing_gets_400_close_and_is_counted(self, engine):
+        async def scenario():
+            async with RewriteServer(EngineHolder(engine)) as server:
+                host, port = server.address
+                replies = {
+                    name: await raw_exchange(host, port, data)
+                    for name, (data, _) in self.MALFORMED.items()
+                }
+                _, stats = await request_once(host, port, "GET", "/stats")
+                return replies, stats
+
+        replies, stats = run_strict(scenario)
+        for name, (_, mentions) in self.MALFORMED.items():
+            status, headers, payload, rest = replies[name]
+            assert status == 400, name
+            assert headers["connection"] == "close", name
+            assert mentions in payload["error"], name
+            assert rest == b"", f"{name}: exactly one response, then close"
+        assert stats["requests"]["by_status"]["400"] == len(self.MALFORMED)
+
+
+class TestAdmission:
+    def test_request_past_queue_size_is_shed_with_503(self, engine):
+        config = ServerConfig(queue_size=1, max_concurrency=1)
+
+        async def scenario():
+            async with RewriteServer(EngineHolder(engine), config) as server:
+                host, port = server.address
+                with faults.FaultPlan(
+                    [faults.FaultSpec("serving.compute", latency_s=0.5, times=1)]
+                ):
+                    slow = asyncio.create_task(
+                        request_once(host, port, "POST", "/rewrite", {"query": "camera"})
+                    )
+                    await wait_in_flight(host, port)
+                    shed = await request_once(
+                        host, port, "POST", "/rewrite", {"query": "pc"}
+                    )
+                    first = await slow
+                _, stats = await request_once(host, port, "GET", "/stats")
+                return first, shed, stats
+
+        (first_status, first), (shed_status, shed), stats = run_strict(scenario)
+        assert first_status == 200 and first["query"] == "camera"
+        assert shed_status == 503 and "queue is full" in shed["error"]
+        assert stats["requests"]["rejected_queue_full"] == 1
+        assert stats["batching"]["queue_high_water"] == 1
+
+
 class TestShutdown:
+    def test_stop_drains_a_slow_in_flight_request(self, engine):
+        async def scenario():
+            server = RewriteServer(EngineHolder(engine))
+            await server.start()
+            host, port = server.address
+            with faults.FaultPlan(
+                [faults.FaultSpec("serving.compute", latency_s=0.3, times=1)]
+            ):
+                slow = asyncio.create_task(
+                    request_once(host, port, "POST", "/rewrite", {"query": "camera"})
+                )
+                await wait_in_flight(host, port)
+                await server.stop()
+            return await slow
+
+        status, payload = run_strict(scenario)
+        assert status == 200
+        assert payload["rewrites"] == [
+            {"rewrite": r.rewrite, "rank": r.rank, "score": r.score}
+            for r in engine.rewrite("camera").rewrites
+        ]
+
+    def test_stop_past_drain_window_aborts_the_request_cleanly(self, engine):
+        async def scenario():
+            server = RewriteServer(EngineHolder(engine))
+            await server.start()
+            host, port = server.address
+            with faults.FaultPlan(
+                [faults.FaultSpec("serving.compute", latency_s=0.3, times=1)]
+            ):
+                slow = asyncio.create_task(
+                    request_once(host, port, "POST", "/rewrite", {"query": "camera"})
+                )
+                await wait_in_flight(host, port)
+                await server.stop(drain_timeout_s=0)
+            with pytest.raises((ConnectionError, asyncio.IncompleteReadError)):
+                await slow
+
+        run_strict(scenario)
+
+    def test_stop_closes_idle_keep_alive_connection_cleanly(self, engine):
+        async def scenario():
+            server = RewriteServer(EngineHolder(engine))
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+            status, _ = await http_request(reader, writer, "GET", "/healthz")
+            # The connection stays open and idle while the server stops.
+            await server.stop()
+            leftover = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            return status, leftover
+
+        status, leftover = run_strict(scenario)
+        assert status == 200
+        assert leftover == b"", "the server closes the idle connection"
+
     def test_stop_drains_and_refuses_new_connections(self, engine):
         async def scenario():
             server = RewriteServer(EngineHolder(engine))
@@ -307,7 +490,7 @@ class TestConcurrentServingWithRefreshCycles:
             assert status == 200
 
         async def scenario():
-            config = ServerConfig(max_batch_size=8, batch_linger_ms=0.5)
+            config = ServerConfig(max_concurrency=4)
             async with RewriteServer(holder, config) as server:
                 refresher = asyncio.create_task(refresh_cycles(server, rounds=4))
                 report = await run_load(

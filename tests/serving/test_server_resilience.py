@@ -88,7 +88,7 @@ class TestServerConfigValidation:
 
 class TestRequestDeadline:
     def test_slow_compute_times_out_with_504(self, engine):
-        config = ServerConfig(request_timeout_s=0.15, batch_linger_ms=0.0)
+        config = ServerConfig(request_timeout_s=0.15)
         query = str(next(iter(engine.graph.queries())))
 
         async def scenario():
