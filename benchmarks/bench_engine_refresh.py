@@ -20,11 +20,7 @@ engine is checked against a from-scratch fit on the updated graph:
   may swap ranks between two converged fits -- ``profiles_match`` treats a
   swap as equal only when the scores at that rank tie within 1e-6.
 
-The run also measures the pruned sparse backend (global warm-start, no
-component reuse) and writes ``BENCH_engine_refresh.json`` next to this
-file.  The dense backend is skipped: tolerance-converged dense fits on the
-1500-node scenario are CI-hostile, and the refresh machinery it would
-exercise is identical to the sparse backend's.
+The run writes ``BENCH_engine_refresh.json`` next to this file.
 
 Run the gate and the timing figures with::
 
@@ -46,7 +42,7 @@ from repro.synth.scenarios import multi_component_graph
 
 SPEEDUP_FLOOR = 5.0
 GATED_BACKEND = "sharded"
-BACKENDS = ["sharded", "sparse"]
+BACKENDS = ["sharded"]
 SERVING_QUERIES = 200
 SCORE_TOLERANCE = 1e-6
 

@@ -5,11 +5,10 @@ The paper's deployment computes rewrites offline and serves them online
 restarts by persisting the fitted score store.  The claim this benchmark
 gates: reviving an engine with ``RewriteEngine.load`` must be at least
 **20x faster** than refitting it, on the 1500-node scenario graph with the
-experiments' default dense backend -- while serving *identical* rewrite
-lists (a fast wrong answer must not pass).
+default sharded backend -- while serving *identical* rewrite lists (a fast
+wrong answer must not pass).
 
-The run also measures the sharded and sparse backends and writes
-``BENCH_engine_snapshot.json`` next to this file: per backend, the refit
+The run writes ``BENCH_engine_snapshot.json`` next to this file: the refit
 time, the snapshot load time, the measured speedup, the snapshot's on-disk
 size, and the serving-equivalence verdict.
 
@@ -32,13 +31,13 @@ from repro.core.config import SimrankConfig
 from repro.synth.scenarios import multi_component_graph
 
 SPEEDUP_FLOOR = 20.0
-GATED_BACKEND = "matrix"
-BACKENDS = ["matrix", "sharded", "sparse"]
+GATED_BACKEND = "sharded"
+BACKENDS = ["sharded"]
 SERVING_QUERIES = 200
 
 SIMILARITY = SimrankConfig(iterations=7, zero_evidence_floor=0.1)
 
-#: The 1500-node sparse scenario of bench_sparse_backend.py (30 components).
+#: A 1500-node scenario graph of 30 components.
 GRAPH_PARAMS = dict(
     num_components=30,
     queries_per_component=30,

@@ -11,34 +11,18 @@ Run with::
 Choosing a backend
 ------------------
 
-The SimRank methods run on five interchangeable backends, selected with
-``EngineConfig(backend=...)``; all agree within 1e-6 (``tests/equivalence/``
+The SimRank methods run on two backends, selected with
+``EngineConfig(backend=...)``; both agree within 1e-6 (``tests/equivalence/``
 enforces this):
 
+* ``sharded`` -- the default: dense fixpoints per connected component,
+  stitched together; fast on realistic (highly disconnected) click graphs,
+  with an optional worker pool (``EngineConfig(n_jobs=N, executor=...)``:
+  ``n_jobs=-1`` means one worker per *available* CPU, and ``executor``
+  picks threads, a process pool or ``"auto"`` to size that choice from the
+  work).
 * ``reference`` -- the paper's node-pair equations, slow but traceable; use
   for tiny graphs and debugging.
-* ``matrix`` -- one dense numpy fixpoint over the whole graph; right for a
-  single well-connected component.
-* ``sharded`` -- whole-graph fixpoints per connected component, stitched
-  together; the fast default for realistic (highly disconnected) click
-  graphs, with an optional worker pool (``ShardedSimrank(n_jobs=...)``) and
-  an inner-backend knob (``ShardedSimrank(inner_backend="sparse")``).
-* ``sparse`` -- the fixpoint on scipy.sparse CSR matrices, cost tracking the
-  nonzeros instead of n^2; right for huge sparse graphs.  Exact by default;
-  ``SimrankConfig(prune_threshold=..., prune_top_k=...)`` trades a bounded
-  score perturbation for even less fill-in (truncation is exact only when
-  both knobs are off -- serving top-k survives pruning as long as
-  prune_top_k comfortably exceeds the rewrite depth).
-* ``auto`` -- a planner inspects the graph at fit time (component sizes,
-  density, node count) and runs whichever of the above its shape favours,
-  per shard when it shards; the decision is inspectable afterwards as
-  ``engine.plan_report``.  When in doubt, pick this one.
-
-Sharded and auto fits take ``EngineConfig(n_jobs=N, executor=...)`` to fit
-independent components on a worker pool: ``n_jobs=-1`` means one worker per
-*available* CPU (cgroup/affinity-aware), and ``executor`` picks threads, a
-process pool (true multi-core for heavy shards) or ``"auto"`` to size that
-choice from the planned work.
 
 Snapshots and the serving cache
 -------------------------------
@@ -182,41 +166,21 @@ def main() -> None:
     info = engine.cache_info()
     print(f"serving cache: {info.size} entries, hit rate {info.hit_rate:.0%}")
 
-    # The same engine on the sharded backend: this toy graph already has three
-    # connected components (cameras/PCs/laptops, TVs, flowers), so the fixpoint
-    # runs per component -- same scores, less dense work on disconnected graphs.
-    sharded = RewriteEngine.from_graph(
-        graph, config.replace(backend="sharded"), bid_terms=bid_terms
+    # The engine above runs on the default sharded backend: this toy graph has
+    # three connected components (cameras/PCs/laptops, TVs, flowers), so the
+    # fixpoint runs per component; the reference backend agrees.
+    reference = RewriteEngine.from_graph(
+        graph, config.replace(backend="reference"), bid_terms=bid_terms
     ).fit()
     print()
     print(
-        f"sharded backend: {sharded.method.num_shards} shards of sizes "
-        f"{sharded.method.shard_sizes()}, "
+        f"sharded backend: {engine.method.num_shards} shards of sizes "
+        f"{engine.method.shard_sizes()}, "
         f"sim('camera', 'digital camera') = "
-        f"{sharded.method.query_similarity('camera', 'digital camera'):.4f}"
+        f"{engine.method.query_similarity('camera', 'digital camera'):.4f} "
+        f"(reference: "
+        f"{reference.method.query_similarity('camera', 'digital camera'):.4f})"
     )
-
-    # The sparse backend runs the same fixpoint on CSR matrices; on big
-    # sparse graphs its cost tracks the nonzeros rather than n^2.  Exact
-    # here (pruning off); prune_threshold/prune_top_k would bound fill-in.
-    sparse_engine = RewriteEngine.from_graph(
-        graph, config.replace(backend="sparse"), bid_terms=bid_terms
-    ).fit()
-    store = sparse_engine.method.similarities()
-    print(
-        f"sparse backend:  {len(store)} stored pairs, "
-        f"sim('camera', 'digital camera') = "
-        f"{sparse_engine.method.query_similarity('camera', 'digital camera'):.4f}"
-    )
-
-    # backend="auto" lets the planner pick: this graph's three small
-    # components plan as a sharded fit with dense inner engines, and the
-    # decision is inspectable (and survives snapshots) as plan_report.
-    auto_engine = RewriteEngine.from_graph(
-        graph, config.replace(backend="auto"), bid_terms=bid_terms
-    ).fit()
-    plan = auto_engine.plan_report
-    print(f"auto backend:    {plan.summary()}")
 
     # Offline -> online persistence: snapshot the fitted engine, revive it in
     # a "new process" without refitting, and serve with a bounded LRU cache.

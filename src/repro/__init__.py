@@ -31,7 +31,7 @@ Custom similarity methods plug into the registry without touching core::
 
     from repro import register_method
 
-    @register_method("my_method", backends=("matrix",))
+    @register_method("my_method", backends=("default",))
     def build_my_method(config, backend):
         return MyMethod(config=config)
 
@@ -66,7 +66,6 @@ from repro.core import (
     PearsonSimilarity,
     QueryRewriter,
     ShardedSimrank,
-    SparseSimrank,
     SimilarityScores,
     ArraySimilarityScores,
     SimrankConfig,
@@ -113,7 +112,6 @@ __all__ = [
     "PearsonSimilarity",
     "QueryRewriter",
     "ShardedSimrank",
-    "SparseSimrank",
     "SimilarityScores",
     "ArraySimilarityScores",
     "SimrankConfig",

@@ -16,65 +16,36 @@ This package is the single front door to the library for serving workloads:
 Choosing a backend
 ------------------
 
-The SimRank family ships five interchangeable backends, selected with
-``EngineConfig(backend=...)`` (or ``--backend`` on the experiments CLI); all
-compute the same fixpoint and agree within 1e-6 -- the standing
-``tests/equivalence/`` harness asserts exactly that for every mode (the
-``sparse`` backend with truncation disabled, its default).  When in doubt,
-pick ``auto`` and let the planner decide from the graph's shape.
+The SimRank family ships two backends, selected with
+``EngineConfig(backend=...)`` (or ``--backend`` on the experiments CLI).
+Both compute the same fixpoint and agree within 1e-6 -- the standing
+``tests/equivalence/`` harness asserts exactly that for every mode.
 
+``sharded``
+    The default.  Decomposes the click graph into connected components,
+    fits the dense :class:`~repro.core.simrank_matrix.MatrixSimrank` kernel
+    per component and stitches the per-component score matrices
+    block-diagonally (cross-component pairs provably score zero, so the
+    result is exact).  Realistic click graphs are highly disconnected, so
+    memory and time scale with the largest component, not the whole graph;
+    a single-component graph is simply one dense fit.
+    ``benchmarks/bench_sharded_backend.py`` gates the speedup (>= 2x over a
+    whole-graph dense fit on a 10-component graph).
 ``reference``
     The node-pair implementations that follow the paper's equations
     literally.  Slowest (Python double loops), but they expose per-iteration
     traces; use them for tiny graphs, debugging and paper-table
-    reproduction.
-``matrix``
-    One dense numpy fixpoint over the whole node set.  The right choice for
-    a single well-connected component of up to a few thousand nodes -- the
-    dense products are BLAS-fast but cost O(n^2) memory regardless of
-    structure.
-``sharded``
-    Decomposes the click graph into connected components and runs a
-    whole-graph engine per component, stitching the per-component score
-    matrices block-diagonally (cross-component pairs provably score zero).
-    The right choice for realistic click graphs, which are highly
-    disconnected: memory and time scale with the largest component, not the
-    whole graph, and independent components can be fitted on a thread pool
-    (``ShardedSimrank(n_jobs=...)``).  ``ShardedSimrank(inner_backend=
-    "sparse")`` composes sharding with the sparse engine below.
-    ``benchmarks/bench_sharded_backend.py`` gates the speedup (>= 2x over
-    ``matrix`` on a 10-component graph).
-``sparse``
-    The same Jacobi iteration on ``scipy.sparse`` CSR matrices, so each
-    iteration costs work proportional to the *nonzeros* of the score
-    matrices instead of n^2 -- the right choice for huge sparse click graphs
-    even when they are well connected.  Two pruning knobs on
-    ``SimrankConfig`` bound fill-in: ``prune_threshold`` drops entries below
-    an epsilon after every iteration and ``prune_top_k`` caps the retained
-    entries per row.  Both default to off, which makes the computation exact
-    (the same fixpoint as ``matrix`` to machine precision); with pruning on, scores
-    are approximate -- a dropped entry perturbs downstream scores by at most
-    ``prune_threshold * c / (1 - c)`` per endpoint -- but top-k *serving* is
-    unaffected as long as ``prune_top_k`` comfortably exceeds the rewrite
-    depth.  ``benchmarks/bench_sparse_backend.py`` gates the speedup (>= 3x
-    over ``matrix`` on a 1500-node sparse scenario, measured ~14x) and
-    records the ``BENCH_sparse_backend.json`` perf trajectory.
-``auto``
-    A planner (:mod:`repro.core.planner`) that inspects the click graph at
-    fit time -- component-size histogram, bipartite density, node count --
-    and runs whichever of the above the shape favours: one dense or sparse
-    fit for (near-)single-component graphs, or the sharded engine with a
-    dense/sparse inner engine chosen *per shard*.  The decision is recorded
-    in an inspectable :class:`~repro.core.planner.PlanReport`
-    (``engine.plan_report``, persisted in snapshot manifests, printed by
-    ``simrankpp-experiments --backend auto``).  Scores are identical to the
-    fixed backend the plan names.  ``benchmarks/bench_backend_auto.py``
-    gates auto within ~10% of the best fixed backend per scenario.
+    reproduction, and as the oracle the fast path is tested against.
+
+The ``matrix``, ``sparse`` and ``auto`` backends of earlier releases are
+retired: each name still resolves, to ``sharded``, with a
+:class:`DeprecationWarning` (see
+:data:`~repro.api.registry.RETIRED_BACKENDS`; removed in 2.0).
 
 Parallel fitting
 ----------------
 
-The sharded and auto backends fit independent components on a worker pool:
+The sharded backend fits independent components on a worker pool:
 ``EngineConfig(n_jobs=N)`` (or ``ShardedSimrank(n_jobs=...)``) sets the
 worker count, with ``-1`` meaning one worker per *available* CPU --
 affinity-aware via :func:`repro.core.parallel.available_cpu_count`, so
@@ -83,10 +54,10 @@ the pool flavour: ``"thread"`` (cheap, GIL-bound outside numpy),
 ``"process"`` (true multi-core: shards are batched into cost-balanced
 picklable payloads, warm-start seeds shipped per shard) or ``"auto"`` (the
 default -- processes only when the estimated work amortises the fork/pickle
-overhead).  ``benchmarks/bench_backend_auto.py`` gates ``n_jobs=4`` process
-fitting at >= 2.5x a single-core fit on a many-component graph.
+overhead).  ``benchmarks/bench_sharded_backend.py`` gates ``n_jobs=4``
+process fitting at >= 2.5x a single-core fit on a many-component graph.
 
-All backends serve scores through the array-backed
+The sharded backend serves scores through the array-backed
 :class:`~repro.core.scores_array.ArraySimilarityScores` store, which wraps
 the final score matrix directly instead of materializing millions of dict
 entries.

@@ -44,9 +44,11 @@ _SIMILARITY_DECODERS = {
     "weight_source": WeightSource,
     "evidence": EvidenceKind,
     "zero_evidence_floor": float,
-    "prune_threshold": float,
-    "prune_top_k": int,
 }
+
+#: ``similarity`` keys of earlier releases, accepted and dropped on load so
+#: stored manifests and store metadata keep loading (removed in 2.0).
+_RETIRED_SIMILARITY_KEYS = frozenset({"prune_threshold", "prune_top_k"})
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,9 @@ class EngineConfig:
         :func:`repro.api.registry.available_methods`).
     backend:
         Backend variant of the method; ``None`` selects the method's default.
+        A retired name (``matrix``, ``sparse``, ``auto``) is replaced by its
+        successor with a :class:`DeprecationWarning`; see
+        :data:`repro.api.registry.RETIRED_BACKENDS`.
     similarity:
         Parameters of the similarity computation (decay factors, iterations,
         weight source, evidence kind).
@@ -81,7 +86,7 @@ class EngineConfig:
         Eviction never changes served results, only the recompute cost of
         re-seeing an evicted query; see ``CacheInfo.evictions``.
     n_jobs:
-        Worker count for parallel shard fits (sharded/auto backends): a
+        Worker count for parallel shard fits (sharded backend): a
         positive integer, or ``-1`` for one worker per *available* CPU
         (affinity-aware; see :func:`repro.core.parallel.available_cpu_count`).
     executor:
@@ -134,23 +139,23 @@ class EngineConfig:
 
         Checked against the live registry so the typo fails at construction
         (including :meth:`from_dict` on a snapshot manifest) rather than
-        when the engine is eventually built.  Methods not registered *yet*
-        (plugin methods configured before registration) are left for
-        :func:`repro.api.registry.create` to resolve later.
+        when the engine is eventually built; a retired name is rewritten to
+        its successor here, so the config serializes the backend it runs.
+        Methods not registered *yet* (plugin methods configured before
+        registration) are left for :func:`repro.api.registry.create` to
+        resolve later.
         """
         if self.backend is None:
             return
         from repro.api import registry
 
         try:
-            spec = registry.method_spec(self.method)
+            backend = registry.resolve_backend(self.method, self.backend)
         except registry.UnknownMethodError:
             return
-        if self.backend not in spec.backends:
-            raise ConfigError(
-                f"method {self.method!r} has no backend {self.backend!r}; "
-                f"choose from {spec.backends}"
-            )
+        except registry.UnknownBackendError as error:
+            raise ConfigError(str(error)) from error
+        object.__setattr__(self, "backend", backend)
 
     # ------------------------------------------------------------- derivation
 
@@ -173,8 +178,6 @@ class EngineConfig:
                 "weight_source": self.similarity.weight_source.value,
                 "evidence": self.similarity.evidence.value,
                 "zero_evidence_floor": self.similarity.zero_evidence_floor,
-                "prune_threshold": self.similarity.prune_threshold,
-                "prune_top_k": self.similarity.prune_top_k,
             },
             "max_rewrites": self.max_rewrites,
             "candidate_pool": self.candidate_pool,
@@ -191,10 +194,13 @@ class EngineConfig:
         """Rebuild a validated configuration from :meth:`to_dict` output.
 
         Unknown keys raise :class:`ValueError` so typos in config files fail
-        loudly instead of silently falling back to defaults.
+        loudly instead of silently falling back to defaults.  The similarity
+        keys of earlier releases are dropped, so their stored configs load.
         """
         data = dict(payload)
-        similarity_payload = data.pop("similarity", {})
+        similarity_payload = dict(data.pop("similarity", {}))
+        for key in _RETIRED_SIMILARITY_KEYS:
+            similarity_payload.pop(key, None)
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown EngineConfig keys: {sorted(unknown)}")

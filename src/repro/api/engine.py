@@ -74,7 +74,6 @@ from repro.graph.components import reachable_queries
 from repro.graph.delta import ClickGraphDelta
 
 if TYPE_CHECKING:
-    from repro.core.planner import PlanReport
     from repro.store.base import ServingStore
 
 __all__ = ["CacheInfo", "Explanation", "RefreshInfo", "RewriteEngine"]
@@ -210,10 +209,6 @@ class RewriteEngine:
         self._precompute_universe: Optional[List[Node]] = None
         self._snapshot_iterations_run: Optional[int] = None
         self._snapshot_graph_fingerprint: Optional[Dict[str, int]] = None
-        #: Plan recorded in a loaded snapshot's manifest (the decision the
-        #: ``backend="auto"`` planner made for the snapshotted fit); live
-        #: fits read the plan off the method instead.
-        self._snapshot_plan = None
         #: Fit generation of the method at restore time; carried snapshot
         #: state is trusted only while the method still holds that fit.
         self._snapshot_state_generation: Optional[int] = None
@@ -274,22 +269,6 @@ class RewriteEngine:
     def serving_store(self) -> Optional["ServingStore"]:
         """The store a :meth:`from_store` engine serves from (else ``None``)."""
         return self._store
-
-    @property
-    def plan_report(self) -> Optional[PlanReport]:
-        """The ``backend="auto"`` planner's decision for the held fit.
-
-        A :class:`~repro.core.planner.PlanReport` when the engine's method
-        planned its last fit (``backend="auto"``), the plan restored from a
-        snapshot manifest on a revived engine, or ``None`` for fixed
-        backends and unfitted engines.
-        """
-        plan = getattr(self.method, "plan", None)
-        if plan is not None:
-            return plan
-        if self._snapshot_plan is not None and self._snapshot_state_fresh():
-            return self._snapshot_plan
-        return None
 
     def fit(
         self, graph: Optional[ClickGraph] = None, warm_start: bool = False
@@ -355,10 +334,10 @@ class RewriteEngine:
         the cached rewrite lists whose results could have changed: the
         queries connected to a changed edge, before or after the delta.
         SimRank-family scores never cross component boundaries, so every
-        other cached entry still serves correct rewrites.  (With the
-        matrix/sparse backends the surviving entries' *scores* may differ
-        from a fresh recompute by up to the convergence tolerance; the
-        sharded backend reuses untouched components' scores verbatim.)
+        other cached entry still serves correct rewrites.  (The sharded
+        backend reuses untouched components' scores verbatim; with the
+        ``reference`` backend the surviving entries' *scores* may differ
+        from a fresh recompute by up to the convergence tolerance.)
 
         Warm-start seeding requires tolerance-based early exit.  With
         ``SimrankConfig.tolerance == 0`` the method's result is *defined*
@@ -495,7 +474,6 @@ class RewriteEngine:
             else None
         )
         clone._snapshot_state_generation = self._snapshot_state_generation
-        clone._snapshot_plan = self._snapshot_plan
         clone._served_generation = self._served_generation
         # Stores are shared, not duplicated: lookups are lock-guarded pure
         # reads, and a store-backed engine has no mutable fitted state for
@@ -519,7 +497,6 @@ class RewriteEngine:
         self._snapshot_iterations_run = None
         self._snapshot_graph_fingerprint = None
         self._snapshot_state_generation = None
-        self._snapshot_plan = None
         self._served_generation = getattr(self.method, "_fit_generation", None)
 
     # --------------------------------------------------------------- serving

@@ -6,7 +6,7 @@ Unlike the old ``if``-chain factory (``repro.core.registry.create_method``,
 now a deprecation shim over this module), the registry is open: downstream
 code -- and tests -- can plug in custom methods without editing core::
 
-    @register_method("my_method", backends=("matrix",))
+    @register_method("my_method", backends=("default",))
     def build_my_method(config: SimrankConfig, backend: str) -> QuerySimilarityMethod:
         return MyMethod(config=config)
 
@@ -16,26 +16,25 @@ and the chosen backend name.  Decorating a
 is also supported; the class is instantiated with ``config=`` when its
 constructor accepts it.
 
-Five backends exist for the SimRank family: ``reference`` (node-pair
-implementations faithful to the paper's equations, good for small graphs and
-traces), ``matrix`` (same fixpoint, dense linear algebra, used for
-experiments), ``sharded`` (same fixpoint computed per connected component on
-block-diagonal structures -- the fast choice for the disconnected click
-graphs of practice; see :mod:`repro.core.simrank_sharded`), ``sparse``
-(the fixpoint on ``scipy.sparse`` CSR matrices with optional epsilon/top-k
-pruning, whose cost tracks the nonzeros instead of ``n^2``; see
-:mod:`repro.core.simrank_sparse`) and ``auto`` (a planner that inspects the
-graph's component histogram, density and node count at fit time and runs
-whichever of the others the shape favours, recording its decision in an
-inspectable :class:`~repro.core.planner.PlanReport`; see
-:mod:`repro.core.planner`).  Methods that do not distinguish backends
-register the same factory under every name so callers never have to
-special-case them.
+Two backends exist for the SimRank family.  ``sharded``, the default, fits
+each connected component of the click graph with dense linear algebra and
+stitches the blocks (exact, since cross-component pairs score zero; see
+:mod:`repro.core.simrank_sharded`).  ``reference`` runs the node-pair
+implementations that follow the paper's equations literally: slow, but the
+oracle every fast path is tested against.  Methods that do not distinguish
+backends register the same factory under both names so callers never have
+to special-case them.
+
+The backends ``matrix``, ``sparse`` and ``auto`` of earlier releases are
+retired: :data:`RETIRED_BACKENDS` maps each to ``sharded`` with a
+:class:`DeprecationWarning`, so stored configs and scripts that name them
+keep working until the aliases are removed in version 2.0.
 """
 
 from __future__ import annotations
 
 import inspect
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -43,17 +42,15 @@ from repro.core.baselines import CommonAdSimilarity, CosineSimilarity, JaccardSi
 from repro.core.config import SimrankConfig
 from repro.core.evidence_simrank import EvidenceSimrank
 from repro.core.pearson import PearsonSimilarity
-from repro.core.planner import AutoSimrank
 from repro.core.simrank import BipartiteSimrank
-from repro.core.simrank_matrix import MatrixSimrank
 from repro.core.simrank_sharded import ShardedSimrank
-from repro.core.simrank_sparse import SparseSimrank
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.core.weighted_simrank import WeightedSimrank
 
 __all__ = [
     "PAPER_METHODS",
     "SIMRANK_BACKENDS",
+    "RETIRED_BACKENDS",
     "RegistryError",
     "UnknownMethodError",
     "UnknownBackendError",
@@ -64,6 +61,7 @@ __all__ = [
     "available_methods",
     "available_backends",
     "method_spec",
+    "resolve_backend",
     "create",
 ]
 
@@ -107,9 +105,17 @@ _REGISTRY: Dict[str, MethodSpec] = {}
 
 #: Backends of the SimRank family (and, for uniformity, the default set every
 #: backend-agnostic method registers under, so one ``--backend`` flag can be
-#: applied to a whole method lineup without special cases).  ``matrix`` stays
+#: applied to a whole method lineup without special cases).  ``sharded`` is
 #: first: it is the default backend of every method registered with this set.
-SIMRANK_BACKENDS: Tuple[str, ...] = ("matrix", "reference", "sharded", "sparse", "auto")
+SIMRANK_BACKENDS: Tuple[str, ...] = ("sharded", "reference")
+
+#: Retired backend names and the backend that now runs in their place.  Each
+#: use warns with a :class:`DeprecationWarning`; removed in version 2.0.
+RETIRED_BACKENDS: Dict[str, str] = {
+    "matrix": "sharded",
+    "sparse": "sharded",
+    "auto": "sharded",
+}
 
 
 def register_method(
@@ -215,6 +221,32 @@ def method_spec(name: str) -> MethodSpec:
     return spec
 
 
+def resolve_backend(name: str, backend: Optional[str] = None) -> str:
+    """The backend :func:`create` fits for ``name`` given ``backend``.
+
+    ``None`` selects the method's default.  A retired name the method does
+    not register itself (see :data:`RETIRED_BACKENDS`) is mapped to its
+    replacement with a :class:`DeprecationWarning`.  Anything else the
+    method does not provide raises :class:`UnknownBackendError`.
+    """
+    spec = method_spec(name)
+    chosen = backend or spec.default_backend
+    replacement = RETIRED_BACKENDS.get(chosen)
+    if chosen not in spec.backends and replacement in spec.backends:
+        warnings.warn(
+            f"backend {chosen!r} is retired and runs as {replacement!r}; "
+            "the alias will be removed in version 2.0",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+        chosen = replacement
+    if chosen not in spec.backends:
+        raise UnknownBackendError(
+            f"method {name!r} has no backend {chosen!r}; choose from {spec.backends}"
+        )
+    return chosen
+
+
 def create(
     name: str,
     config: Optional[SimrankConfig] = None,
@@ -232,8 +264,9 @@ def create(
         SimRank configuration shared by the SimRank variants (decay factors,
         iterations, weight source, evidence kind); defaults apply when omitted.
     backend:
-        One of :func:`available_backends` for the method; the method's default
-        backend when omitted.
+        One of :func:`available_backends` for the method (or a retired name,
+        see :func:`resolve_backend`); the method's default backend when
+        omitted.
     n_jobs:
         Worker count for parallel shard fits (positive, or ``-1`` for all
         available CPUs).  Forwarded only to factories whose signature
@@ -244,11 +277,7 @@ def create(
         shard fits; forwarded like ``n_jobs``.
     """
     spec = method_spec(name)
-    chosen = backend or spec.default_backend
-    if chosen not in spec.backends:
-        raise UnknownBackendError(
-            f"method {name!r} has no backend {chosen!r}; choose from {spec.backends}"
-        )
+    chosen = resolve_backend(name, backend)
     extras = {}
     if n_jobs is not None or executor is not None:
         parameters = inspect.signature(spec.factory).parameters
@@ -277,16 +306,10 @@ def _build_simrank_family(
     mode: str, reference_cls, config: SimrankConfig, backend: str,
     n_jobs: int, executor: str,
 ) -> QuerySimilarityMethod:
-    """One dispatch for the three SimRank modes (they share every backend)."""
+    """One dispatch for the three SimRank modes (they share both backends)."""
     if backend == "reference":
         return reference_cls(config=config)
-    if backend == "sharded":
-        return ShardedSimrank(config=config, mode=mode, n_jobs=n_jobs, executor=executor)
-    if backend == "sparse":
-        return SparseSimrank(config=config, mode=mode)
-    if backend == "auto":
-        return AutoSimrank(config=config, mode=mode, n_jobs=n_jobs, executor=executor)
-    return MatrixSimrank(config=config, mode=mode)
+    return ShardedSimrank(config=config, mode=mode, n_jobs=n_jobs, executor=executor)
 
 
 @register_method("simrank", description="Plain bipartite SimRank (Section 4)")

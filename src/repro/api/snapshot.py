@@ -16,8 +16,8 @@ Snapshot layout (one directory)::
         query_scores.npz   the symmetric CSR similarity matrix
                            (scipy.sparse.save_npz)
 
-All backends snapshot through the same format: ``matrix``, ``sharded`` and
-``sparse`` already serve from an array-backed store
+Both backends snapshot through the same format: ``sharded`` already serves
+from an array-backed store
 (:class:`~repro.core.scores_array.ArraySimilarityScores`); the dict-backed
 ``reference`` store is converted through
 :meth:`~repro.core.scores.SimilarityScores.to_array` on save and restored
@@ -98,7 +98,7 @@ def graph_fingerprint(graph) -> dict:
 def _iterations_run(engine):
     """Fit iterations, wherever the backend records them (None if unknown).
 
-    The matrix/sparse engines expose ``iterations_run`` directly; the
+    The sharded engine exposes ``iterations_run`` directly; the
     reference methods record it on their (fit-only) result objects; a
     loaded-but-not-refitted engine carries the value its snapshot recorded.
     """
@@ -114,12 +114,6 @@ def _iterations_run(engine):
         if iterations is not None:
             return iterations
     return getattr(engine, "_snapshot_iterations_run", None)
-
-
-def _plan_dict(engine):
-    """The engine's ``backend="auto"`` plan as manifest JSON (None without one)."""
-    plan = getattr(engine, "plan_report", None)
-    return plan.to_dict() if plan is not None else None
 
 
 # ------------------------------------------------------------------- writing
@@ -195,11 +189,9 @@ def write_snapshot(engine, path: PathLike) -> Path:
             # Coarse shape of the fitted graph: callers can compare it
             # against a candidate dataset to detect stale snapshots cheaply.
             "graph": fingerprint,
-            # The backend="auto" planner's decision for this fit (None for
-            # fixed backends), so "why did auto do that?" survives restarts.
-            "plan": _plan_dict(engine),
         },
     }
+
     def _maybe_corrupt(staging: Path) -> None:
         if faults.should_corrupt("snapshot.write"):
             # Injected torn write: publish a snapshot whose score matrix was
@@ -215,7 +207,9 @@ def write_snapshot(engine, path: PathLike) -> Path:
     with staged_write(
         path, directory=True, error=SnapshotError, on_complete=_maybe_corrupt
     ) as staging:
-        sparse.save_npz(staging / SCORES_FILENAME, array.matrix.tocsr())
+        # Stored uncompressed: inflating the arrays is most of a compressed
+        # load, and loading is the step snapshots exist to make cheap.
+        sparse.save_npz(staging / SCORES_FILENAME, array.matrix.tocsr(), compressed=False)
         (staging / MANIFEST_FILENAME).write_text(json.dumps(manifest, indent=2) + "\n")
     return path
 
@@ -292,7 +286,10 @@ def read_snapshot(path: PathLike, engine_cls=None):
             f"config: {error}"
         ) from error
     try:
-        matrix = sparse.load_npz(scores_path).tocsr()
+        # An open handle, closed here: load_npz on a path leaves the file
+        # open when the archive is corrupt and the error propagates.
+        with open(scores_path, "rb") as handle:
+            matrix = sparse.load_npz(handle).tocsr()
     except Exception as error:
         raise SnapshotError(
             f"corrupt snapshot score matrix at {scores_path}: {error}"
@@ -328,21 +325,11 @@ def read_snapshot(path: PathLike, engine_cls=None):
     )
     iterations_run = fit_metadata.get("iterations_run")
     # Kept on the engine (cleared by a refit) so a re-save preserves the
-    # metadata for every backend; matrix/sparse methods also expose it
-    # directly through their own iterations_run attribute.
+    # metadata for every backend; the sharded method also exposes it
+    # directly through its own iterations_run attribute.
     engine._snapshot_iterations_run = iterations_run
     if iterations_run is not None and hasattr(engine.method, "iterations_run"):
         engine.method.iterations_run = iterations_run
-    plan_payload = fit_metadata.get("plan")
-    if plan_payload is not None:
-        from repro.core.planner import PlanReport
-
-        try:
-            engine._snapshot_plan = PlanReport.from_dict(plan_payload)
-        except (KeyError, TypeError, ValueError):
-            # The plan is advisory metadata; a malformed entry (hand-edited
-            # manifest) must not block reviving an otherwise good snapshot.
-            engine._snapshot_plan = None
     return engine
 
 

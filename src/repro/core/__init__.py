@@ -8,11 +8,10 @@
   comparators (Jaccard, cosine).
 * :mod:`repro.core.complete_bipartite` -- closed-form scores on complete
   bipartite graphs (Theorems A.1-B.3), used as test oracles.
-* :class:`MatrixSimrank` / :class:`ShardedSimrank` / :class:`SparseSimrank`
-  -- the same SimRank fixpoints computed with dense linear algebra over the
-  whole graph, per connected component on block-diagonal structures, or on
-  pruned ``scipy.sparse`` CSR matrices whose cost tracks the nonzeros (the
-  fast backends for the huge-but-sparse click graphs of practice).
+* :class:`ShardedSimrank` -- the same SimRank fixpoints computed per
+  connected component on block-diagonal structures (the fast backend for the
+  disconnected click graphs of practice), each component fitted with the
+  dense-linear-algebra kernel :class:`MatrixSimrank`.
 * :class:`QueryRewriter` -- the sponsored-search front-end that turns
   similarity scores into filtered, ranked query rewrites (Section 9.3).
 """
@@ -46,7 +45,6 @@ from repro.core.scores_array import ArraySimilarityScores
 from repro.core.simrank import BipartiteSimrank, SimrankResult
 from repro.core.simrank_matrix import MatrixSimrank
 from repro.core.simrank_sharded import ShardedSimrank
-from repro.core.simrank_sparse import SparseSimrank
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.core.weighted_simrank import WeightedSimrank, spread, transition_factors
 
@@ -83,7 +81,6 @@ __all__ = [
     "SimrankResult",
     "MatrixSimrank",
     "ShardedSimrank",
-    "SparseSimrank",
     "QuerySimilarityMethod",
     "WeightedSimrank",
     "spread",

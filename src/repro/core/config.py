@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from repro.graph.click_graph import WeightSource
 
-__all__ = ["EvidenceKind", "SimrankConfig"]
+__all__ = ["EvidenceKind", "PAPER_CONFIG", "SimrankConfig"]
 
 
 class EvidenceKind(str, enum.Enum):
@@ -54,19 +54,8 @@ class SimrankConfig:
         after all direct evidence has been removed -- both impossible under a
         hard zero -- so the deployed system evidently kept some structural
         signal for zero-evidence pairs.  Setting a small positive floor
-        (e.g. 0.1) retains that fraction of the structural score; the
-        evaluation harness does so and EXPERIMENTS.md documents it.
-    prune_threshold:
-        Per-iteration truncation epsilon of the ``sparse`` backend
-        (:class:`~repro.core.simrank_sparse.SparseSimrank`): score entries
-        below it are dropped after every iteration.  0 (the default)
-        disables truncation and keeps the sparse computation exact; other
-        backends ignore the knob.
-    prune_top_k:
-        Per-row retention cap of the ``sparse`` backend: after truncation
-        only the ``prune_top_k`` largest entries of each score row are kept
-        (0, the default, keeps all).  Serving-exact as long as it comfortably
-        exceeds the rewrite depth; other backends ignore the knob.
+        (e.g. 0.1) retains that fraction of the structural score;
+        :data:`PAPER_CONFIG` does so.
     """
 
     c1: float = 0.8
@@ -76,8 +65,6 @@ class SimrankConfig:
     weight_source: WeightSource = WeightSource.EXPECTED_CLICK_RATE
     evidence: EvidenceKind = EvidenceKind.GEOMETRIC
     zero_evidence_floor: float = 0.0
-    prune_threshold: float = 0.0
-    prune_top_k: int = 0
 
     def __post_init__(self) -> None:
         if not 0 < self.c1 <= 1:
@@ -92,12 +79,6 @@ class SimrankConfig:
             raise ValueError(
                 f"zero_evidence_floor must be in [0, 1), got {self.zero_evidence_floor}"
             )
-        if not 0 <= self.prune_threshold < 1:
-            raise ValueError(
-                f"prune_threshold must be in [0, 1), got {self.prune_threshold}"
-            )
-        if self.prune_top_k < 0:
-            raise ValueError(f"prune_top_k must be >= 0, got {self.prune_top_k}")
 
     def with_decay(self, c1: float, c2: float = None) -> "SimrankConfig":
         """Copy of the configuration with different decay factors."""
@@ -106,3 +87,10 @@ class SimrankConfig:
     def with_iterations(self, iterations: int) -> "SimrankConfig":
         """Copy of the configuration with a different iteration count."""
         return dataclasses.replace(self, iterations=iterations)
+
+
+#: The configuration the paper's evaluation runs with: seven iterations (the
+#: depth Tables 3-4 tabulate) and a 0.1 zero-evidence floor.  The evaluation
+#: harness, ``simrankpp-experiments`` and ``serve`` all derive their configs
+#: from it with :func:`dataclasses.replace`.
+PAPER_CONFIG = SimrankConfig(iterations=7, zero_evidence_floor=0.1)

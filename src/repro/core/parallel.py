@@ -99,7 +99,7 @@ def pick_executor(node_counts: Sequence[int], workers: int) -> str:
     Threads are free to start but GIL-bound outside numpy's released-GIL
     regions; processes scale with cores but pay fork + pickle overhead per
     fit.  The estimated total work ``sum(n_k^2)`` (the per-iteration cost
-    scale of both the dense and sparse inner engines) decides: below
+    scale of the dense inner engine) decides: below
     :data:`PROCESS_WORK_THRESHOLD` the overhead dominates and threads win.
     """
     if workers <= 1 or len(node_counts) <= 1:

@@ -23,7 +23,7 @@ __all__ = ["available_methods", "create_method", "PAPER_METHODS"]
 def create_method(
     name: str,
     config: Optional[SimrankConfig] = None,
-    backend: str = "matrix",
+    backend: Optional[str] = None,
 ) -> QuerySimilarityMethod:
     """Instantiate a similarity method by name.
 

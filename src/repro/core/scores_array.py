@@ -33,8 +33,8 @@ class ArraySimilarityScores:
     """Symmetric node-pair similarity scores backed by one CSR matrix.
 
     The matrix must be symmetric with a zero diagonal; use the
-    :meth:`from_dense` / :meth:`from_sparse` constructors, which enforce both
-    by mirroring the strict upper triangle (entries must exceed ``min_score``
+    :meth:`from_dense` constructor, which enforces both by mirroring the
+    strict upper triangle (entries must exceed ``min_score``
     to be stored, matching the dense engine's storage threshold).
 
     A CSR input is adopted and normalized *in place* (indices sorted,
@@ -78,17 +78,6 @@ class ArraySimilarityScores:
         upper = np.triu(matrix, k=1)
         upper[upper <= min_score] = 0.0
         half = sparse.csr_matrix(upper)
-        return cls(half + half.T, index)
-
-    @classmethod
-    def from_sparse(
-        cls, matrix: "sparse.spmatrix", index: Sequence[Node], min_score: float = 0.0
-    ) -> "ArraySimilarityScores":
-        """Store built from a (possibly unsymmetrized) sparse similarity matrix."""
-        half = sparse.triu(matrix, k=1, format="csr")
-        if half.nnz:
-            half.data[half.data <= min_score] = 0.0
-            half.eliminate_zeros()
         return cls(half + half.T, index)
 
     @classmethod

@@ -9,19 +9,18 @@ allocates one dense ``n x n`` similarity matrix over the whole node set and
 spends ``O(n^3)`` multiply time per iteration on cross-component blocks that
 stay zero forever.
 
-:class:`ShardedSimrank` exploits that structure.  It decomposes the click
-graph into connected components (:func:`repro.graph.components
-.connected_components`), fits an independent inner engine on each component's
-induced subgraph -- :class:`MatrixSimrank` by default, or the pruned sparse
-engine (:class:`~repro.core.simrank_sparse.SparseSimrank`) with
-``inner_backend="sparse"`` -- and stitches the per-component results into one
+:class:`ShardedSimrank` exploits that structure, and is the default backend
+of every SimRank method.  It decomposes the click graph into connected
+components (:func:`repro.graph.components.connected_components`), fits the
+dense :class:`MatrixSimrank` kernel on each component's induced subgraph and
+stitches the per-component results into one
 :class:`~repro.core.scores_array.ArraySimilarityScores` by block-diagonal
 concatenation of the per-component score matrices (cross-component pairs
 provably score zero, which is exactly the block structure).  The dense work
 therefore shrinks from one ``n x n`` matrix to a block-diagonal family of
-``n_k x n_k`` blocks (``sum n_k = n``), which is both asymptotically and
-practically faster on multi-component graphs -- see
-``benchmarks/bench_sharded_backend.py`` for the >= 2x gate.
+``n_k x n_k`` blocks (``sum n_k = n``); on a single-component graph it is
+one dense fit.  ``benchmarks/bench_sharded_backend.py`` gates the speedup
+over a whole-graph dense fit.
 
 Isolated nodes (zero degree) can only self-score, so they are skipped
 entirely; ``query_similarity`` still returns 1 for the self-pair and 0
@@ -55,7 +54,6 @@ from repro.core.parallel import chunk_balanced, pick_executor, resolve_worker_co
 from repro.core.scores_array import ArraySimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.core.simrank_matrix import MatrixSimrank
-from repro.core.simrank_sparse import SparseSimrank
 from repro.graph.click_graph import ClickGraph
 from repro.graph.components import connected_components
 
@@ -64,8 +62,6 @@ __all__ = ["ShardedSimrank"]
 Node = Hashable
 
 _MODES = ("simrank", "evidence", "weighted")
-
-_INNER_BACKENDS = ("matrix", "sparse", "auto")
 
 _EXECUTORS = ("thread", "process", "auto")
 
@@ -85,7 +81,6 @@ class ShardedSimrank(QuerySimilarityMethod):
         mode: str = "simrank",
         min_score: float = 1e-9,
         n_jobs: int = 1,
-        inner_backend: str = "matrix",
         executor: str = "auto",
     ) -> None:
         super().__init__()
@@ -93,21 +88,12 @@ class ShardedSimrank(QuerySimilarityMethod):
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         if n_jobs == 0 or n_jobs < -1:
             raise ValueError(f"n_jobs must be a positive integer or -1, got {n_jobs}")
-        if inner_backend not in _INNER_BACKENDS:
-            raise ValueError(
-                f"inner_backend must be one of {_INNER_BACKENDS}, got {inner_backend!r}"
-            )
         if executor not in _EXECUTORS:
             raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
         self.config = config or SimrankConfig()
         self.mode = mode
         self.min_score = min_score
         self.n_jobs = n_jobs
-        #: Which engine fits each component: dense ``"matrix"`` blocks,
-        #: ``"sparse"`` pruned CSR fixpoints (sharded + sparse composes the
-        #: two backends' savings on large disconnected graphs), or ``"auto"``
-        #: to let the planner pick dense/sparse per shard from its size.
-        self.inner_backend = inner_backend
         #: Pool flavour for parallel shard fits; ``"auto"`` picks processes
         #: only when the estimated work amortises the fork/pickle overhead.
         self.executor = executor
@@ -118,6 +104,9 @@ class ShardedSimrank(QuerySimilarityMethod):
             "evidence": "evidence_simrank",
             "weighted": "weighted_simrank",
         }[mode]
+        #: Iterations of the last fit: the most any shard ran (a reused
+        #: shard counts with the iterations of the fit that produced it).
+        self.iterations_run: Optional[int] = None
         #: Whether the last fit received a warm-start seed.
         self.warm_started: bool = False
         #: Shards of the last fit reused verbatim from the previous fit
@@ -140,6 +129,7 @@ class ShardedSimrank(QuerySimilarityMethod):
         # exactly as it was -- cleanly unfitted on a first fit, or still
         # serving the previous fit on a refit.
         prior_state = (
+            self.iterations_run,
             self.warm_started,
             self.reused_shards,
             self.refitted_shards,
@@ -152,6 +142,7 @@ class ShardedSimrank(QuerySimilarityMethod):
             return self._compute_and_stitch(graph)
         except BaseException:
             (
+                self.iterations_run,
                 self.warm_started,
                 self.reused_shards,
                 self.refitted_shards,
@@ -211,6 +202,9 @@ class ShardedSimrank(QuerySimilarityMethod):
         fitted = self._fit_shards(dirty_graphs, _split_seed(seed, dirty_graphs))
         for shard_id, method in zip(dirty, fitted):
             methods[shard_id] = method
+        self.iterations_run = max(
+            (method.iterations_run for method in methods), default=0
+        )
 
         self._shard_graphs = shard_graphs
         self._shard_methods = methods
@@ -228,27 +222,9 @@ class ShardedSimrank(QuerySimilarityMethod):
             method.similarities() for method in self._shard_methods
         )
 
-    def _inner_kind(self, subgraph: ClickGraph) -> str:
-        """Concrete inner engine ("matrix"/"sparse") for one component."""
-        if self.inner_backend != "auto":
-            return self.inner_backend
-        from repro.core.planner import choose_component_backend
-
-        return choose_component_backend(subgraph.num_nodes, subgraph.num_edges)
-
-    def shard_backends(self) -> List[str]:
-        """Concrete inner backend fitted per shard, aligned with shard ids."""
-        self._require_fitted()
-        methods = self._require_fit_extra(self._shard_methods, "shard decomposition")
-        return [
-            "sparse" if isinstance(method, SparseSimrank) else "matrix"
-            for method in methods
-        ]
-
-    def _build_inner(self, subgraph: ClickGraph) -> QuerySimilarityMethod:
-        return _build_inner_engine(
-            self._inner_kind(subgraph), self.config, self.mode, self.min_score
-        )
+    def _build_inner(self, subgraph: ClickGraph) -> MatrixSimrank:
+        """The dense kernel that fits one component."""
+        return MatrixSimrank(config=self.config, mode=self.mode, min_score=self.min_score)
 
     def _fit_shards(
         self, subgraphs: List[ClickGraph], seeds: Optional[List] = None
@@ -334,20 +310,12 @@ class ShardedSimrank(QuerySimilarityMethod):
         serving/fitting process itself) and ships the picklable actions
         inside the batch, where the worker executes them before fitting.
         """
-        kinds = [
-            "sparse" if isinstance(method, SparseSimrank) else "matrix"
-            for method in methods
-        ]
-        costs = [
-            _estimate_shard_cost(kind, subgraph)
-            for kind, subgraph in zip(kinds, subgraphs)
-        ]
+        costs = [_estimate_shard_cost(subgraph) for subgraph in subgraphs]
         worker_actions = [faults.claim("shard.fit.worker") for _ in subgraphs]
         chunks = chunk_balanced(costs, workers)
         batches = [
             [
                 (
-                    kinds[i],
                     self.config,
                     self.mode,
                     self.min_score,
@@ -397,6 +365,7 @@ class ShardedSimrank(QuerySimilarityMethod):
         error instead of reporting an empty (zero-shard) decomposition.
         """
         super().restore(scores, graph)
+        self.iterations_run = None
         self.warm_started = False
         self.reused_shards = None
         self.refitted_shards = None
@@ -441,21 +410,6 @@ class ShardedSimrank(QuerySimilarityMethod):
         return self._shard_methods[shard].ad_similarity(first, second)
 
 
-def _build_inner_engine(
-    kind: str, config: SimrankConfig, mode: str, min_score: float
-) -> QuerySimilarityMethod:
-    """Construct one concrete inner engine (shared with process workers)."""
-    if kind == "sparse":
-        # Honour both thresholds: the sharded storage cutoff and the
-        # config's truncation epsilon (whichever is stricter).
-        return SparseSimrank(
-            config=config,
-            mode=mode,
-            min_score=max(min_score, config.prune_threshold),
-        )
-    return MatrixSimrank(config=config, mode=mode, min_score=min_score)
-
-
 def _fit_one_shard(
     method: QuerySimilarityMethod,
     subgraph: ClickGraph,
@@ -472,8 +426,8 @@ def _fit_shard_batch(batch: List[Tuple]) -> List[QuerySimilarityMethod]:
     """Process-pool worker: rebuild, fit and return one batch of inner engines.
 
     Module-level (and fed only picklable payloads) so it can cross the
-    process boundary: each payload is ``(kind, config, mode, min_score,
-    subgraph, seed, fault_actions)`` and the fitted engines -- graph,
+    process boundary: each payload is ``(config, mode, min_score, subgraph,
+    seed, fault_actions)`` and the fitted engines -- graph,
     scores and all -- are pickled back to the parent, where they serve
     exactly like thread-fitted ones.  Fault actions were claimed in the
     parent (central, deterministic counting) and execute here, in the
@@ -481,26 +435,22 @@ def _fit_shard_batch(batch: List[Tuple]) -> List[QuerySimilarityMethod]:
     parent pool surfaces as ``BrokenProcessPool``.
     """
     fitted = []
-    for kind, config, mode, min_score, subgraph, seed, shard_faults in batch:
+    for config, mode, min_score, subgraph, seed, shard_faults in batch:
         for action in shard_faults:
             action.execute()
-        method = _build_inner_engine(kind, config, mode, min_score)
+        method = MatrixSimrank(config=config, mode=mode, min_score=min_score)
         method.fit(subgraph, initial_scores=seed)
         fitted.append(method)
     return fitted
 
 
-def _estimate_shard_cost(kind: str, subgraph: ClickGraph) -> float:
+def _estimate_shard_cost(subgraph: ClickGraph) -> float:
     """Relative cost estimate used to balance shard batches across workers.
 
-    The dense engine's per-iteration cost scales with ``n^3`` (full matrix
-    products); the sparse engine's tracks the nonzero structure, for which
-    ``edges * nodes`` is a serviceable proxy.  Only the *ratios* matter.
+    The dense kernel's per-iteration cost scales with ``n^3`` (full matrix
+    products); only the *ratios* matter.
     """
-    nodes = float(subgraph.num_nodes)
-    if kind == "sparse":
-        return max(float(subgraph.num_edges) * nodes, 1.0)
-    return max(nodes**3, 1.0)
+    return max(float(subgraph.num_nodes) ** 3, 1.0)
 
 
 def _raise_first_error(futures) -> None:

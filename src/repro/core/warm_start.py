@@ -32,9 +32,8 @@ from __future__ import annotations
 from typing import Dict, Hashable, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
-__all__ = ["seed_dense", "seed_csr", "seed_pair_scores"]
+__all__ = ["seed_dense", "seed_pair_scores"]
 
 Node = Hashable
 Pair = Tuple[Node, Node]
@@ -84,15 +83,6 @@ def seed_dense(initial_scores, index: Sequence[Node]) -> np.ndarray:
     seed[rows, columns] = data
     np.fill_diagonal(seed, 1.0)
     return seed
-
-
-def seed_csr(initial_scores, index: Sequence[Node]) -> sparse.csr_matrix:
-    """Sparse CSR similarity seed over ``index`` (unit diagonal included)."""
-    n = len(index)
-    position = {node: i for i, node in enumerate(index)}
-    rows, columns, data = _seed_triplets(initial_scores, position)
-    off_diagonal = sparse.csr_matrix((data, (rows, columns)), shape=(n, n))
-    return (off_diagonal + sparse.identity(n, format="csr")).tocsr()
 
 
 def seed_pair_scores(initial_scores, pairs: Sequence[Pair]) -> Dict[Pair, float]:

@@ -17,14 +17,10 @@ synthetic workload:
 5. run the desirability edge-removal experiment (Figure 12).
 
 Every step resolves similarity methods through the registry, so the
-``backend`` knob accepts any registered SimRank backend (``matrix``,
-``reference``, ``sharded``, ``sparse``, ``auto``); the ``sparse`` backend's
-pruning is configured on the :class:`~repro.core.config.SimrankConfig` passed
-in (``prune_threshold`` / ``prune_top_k``).  With ``backend="auto"`` the
-planner's decision per method is collected in
-``EvaluationResult.plan_reports`` (and printed by the CLI); ``n_jobs`` /
-``executor`` control the parallel fitting tier of the sharded and auto
-backends.
+``backend`` knob accepts either SimRank backend (``sharded``, the default, or
+the ``reference`` oracle); ``n_jobs`` / ``executor`` control the parallel
+fitting tier of the sharded backend.  The SimRank parameters default to
+:data:`~repro.core.config.PAPER_CONFIG`.
 """
 
 from __future__ import annotations
@@ -39,8 +35,7 @@ from repro.api.engine import RewriteEngine
 from repro.api.registry import PAPER_METHODS, create
 from repro.api.snapshot import EngineSnapshotStore, SnapshotError, graph_fingerprint
 from repro.api.sources import resolve_engine_source
-from repro.core.config import SimrankConfig
-from repro.core.planner import PlanReport
+from repro.core.config import PAPER_CONFIG, SimrankConfig
 from repro.core.rewriter import RewriteList
 from repro.eval.coverage import coverage_percentage, depth_distribution
 from repro.eval.desirability import DesirabilityResult, run_desirability_experiment
@@ -98,9 +93,6 @@ class EvaluationResult:
     evaluation_queries: List[Node]
     methods: Dict[str, MethodEvaluation]
     desirability: Dict[str, DesirabilityResult] = field(default_factory=dict)
-    #: method name -> the backend="auto" planner's decision for its fit
-    #: (empty for fixed backends and snapshot loads without a recorded plan).
-    plan_reports: Dict[str, "PlanReport"] = field(default_factory=dict)
 
     def dataset_statistics(self) -> List[DatasetStatistics]:
         """Per-subgraph statistics (the rows of Table 5)."""
@@ -142,7 +134,7 @@ class ExperimentHarness:
         workload_size: str = "small",
         config: Optional[SimrankConfig] = None,
         methods: Sequence[str] = PAPER_METHODS,
-        backend: str = "matrix",
+        backend: str = "sharded",
         n_jobs: int = 1,
         executor: str = "auto",
         num_subgraphs: int = 5,
@@ -159,11 +151,10 @@ class ExperimentHarness:
         refresh_engines_from: Optional[Union[str, Path]] = None,
     ) -> None:
         self.workload = workload or yahoo_like_workload(workload_size)
-        # A small zero-evidence floor keeps the evidence-carrying variants
-        # able to rank pairs with no (remaining) common ad; see SimrankConfig
-        # and EXPERIMENTS.md for why the harness deviates from the strict
-        # Equation 7.3 here.
-        self.config = config or SimrankConfig(iterations=7, zero_evidence_floor=0.1)
+        # The paper preset's zero-evidence floor keeps the evidence-carrying
+        # variants able to rank pairs with no (remaining) common ad; see
+        # SimrankConfig for why it deviates from the strict Equation 7.3.
+        self.config = config or PAPER_CONFIG
         self.methods = list(methods)
         self.backend = backend
         self.n_jobs = n_jobs
@@ -204,12 +195,8 @@ class ExperimentHarness:
         judge = EditorialJudge(self.workload)
 
         rewrites_per_method: Dict[str, Dict[Node, RewriteList]] = {}
-        plan_reports: Dict[str, "PlanReport"] = {}
         for method_name in self.methods:
             engine = self._fitted_engine(method_name, dataset)
-            plan = engine.plan_report
-            if plan is not None:
-                plan_reports[method_name] = plan
             rewrites_per_method[method_name] = {
                 query: rewrite_list
                 for query, rewrite_list in zip(
@@ -236,7 +223,6 @@ class ExperimentHarness:
             evaluation_queries=evaluation_queries,
             methods=evaluations,
             desirability=desirability,
-            plan_reports=plan_reports,
         )
 
     # ----------------------------------------------------------- preparation
@@ -293,8 +279,8 @@ class ExperimentHarness:
         With ``load_engines_from`` set and a ``<method>-<backend>`` snapshot
         present, the engine is revived without refitting -- but only when the
         snapshot's persisted configuration and bid terms match what this run
-        would fit with; a mismatched snapshot (say, a different prune
-        threshold) is ignored rather than silently serving stale knobs.
+        would fit with; a mismatched snapshot (say, a different iteration
+        count) is ignored rather than silently serving stale knobs.
 
         With ``refresh_engines_from`` set, a snapshot whose config and bid
         terms match but whose recorded graph differs from ``dataset`` is used

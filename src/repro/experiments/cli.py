@@ -6,8 +6,7 @@ Examples::
     simrankpp-experiments --experiment figure8 --size tiny
     simrankpp-experiments --experiment all --size small --seed 42
     simrankpp-experiments --experiment figure8 --backend reference
-    simrankpp-experiments --experiment figure8 --backend sharded
-    simrankpp-experiments --experiment figure8 --backend sparse --prune-threshold 1e-4
+    simrankpp-experiments --experiment figure8 --n-jobs -1
     simrankpp-experiments --experiment figure8 --save-engine engines/
     simrankpp-experiments --experiment figure8 --load-engine engines/
     simrankpp-experiments --experiment figure8 --tolerance 1e-8 --refresh-from engines/
@@ -24,16 +23,18 @@ The ``serve`` subcommand starts the online serving tier
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional, Sequence
 
 from repro.api.registry import (
+    RETIRED_BACKENDS,
     SIMRANK_BACKENDS,
     available_backends,
     available_methods,
     method_spec,
 )
-from repro.core.config import SimrankConfig
+from repro.core.config import PAPER_CONFIG
 from repro.experiments.paper import PaperExperiments
 
 __all__ = ["main", "build_parser"]
@@ -62,12 +63,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        default="matrix",
-        choices=sorted(SIMRANK_BACKENDS),
+        default=SIMRANK_BACKENDS[0],
+        choices=SIMRANK_BACKENDS + tuple(RETIRED_BACKENDS),
         help=(
             "similarity-method backend used by the harness experiments "
-            "(sharded = per-connected-component dense blocks, sparse = "
-            "pruned CSR fixpoint whose cost tracks the graph's nonzeros)"
+            "(sharded = per-connected-component dense fits, the default; "
+            "reference = the paper's node-pair equations, slow; matrix, "
+            "sparse and auto are deprecated aliases of sharded)"
         ),
     )
     parser.add_argument(
@@ -75,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "sharded/auto backends: workers for parallel per-component fits "
+            "sharded backend: workers for parallel per-component fits "
             "(-1 = one per available CPU, affinity-aware)"
         ),
     )
@@ -87,24 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
             "pool flavour for parallel fits: thread (GIL-bound), process "
             "(true multi-core), or auto (processes only when the work "
             "amortises the fork/pickle overhead)"
-        ),
-    )
-    parser.add_argument(
-        "--prune-threshold",
-        type=float,
-        default=0.0,
-        help=(
-            "sparse backend only: drop score entries below this epsilon "
-            "after every iteration (0 = exact, no truncation)"
-        ),
-    )
-    parser.add_argument(
-        "--prune-top-k",
-        type=int,
-        default=0,
-        help=(
-            "sparse backend only: keep only the k largest entries per score "
-            "row after each iteration (0 = keep all)"
         ),
     )
     parser.add_argument(
@@ -144,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list the registered similarity methods and exit",
     )
-    parser.add_argument("--iterations", type=int, default=7, help="SimRank iterations")
+    parser.add_argument(
+        "--iterations", type=int, default=PAPER_CONFIG.iterations, help="SimRank iterations"
+    )
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -157,7 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
             "the cold fit's defined result"
         ),
     )
-    parser.add_argument("--decay", type=float, default=0.8, help="SimRank decay factors C1 = C2")
+    parser.add_argument(
+        "--decay", type=float, default=PAPER_CONFIG.c1, help="SimRank decay factors C1 = C2"
+    )
     parser.add_argument(
         "--desirability-cases", type=int, default=50, help="cases for the Figure 12 experiment"
     )
@@ -181,13 +169,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             backends = "/".join(available_backends(name))
             print(f"{name:20s} [{backends}]  {spec.description}")
         return 0
-    config = SimrankConfig(
+    config = dataclasses.replace(
+        PAPER_CONFIG,
         c1=args.decay,
         c2=args.decay,
         iterations=args.iterations,
         tolerance=args.tolerance,
-        prune_threshold=args.prune_threshold,
-        prune_top_k=args.prune_top_k,
     )
     experiments = PaperExperiments(
         workload_size=args.size,
@@ -210,15 +197,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(str(exc))
             return 2
     print(output)
-    if args.backend == "auto" and experiments._result is not None:
-        # Surface the planner's decisions for the harness-backed experiments
-        # (tables 1-4/6 never fit an engine, so there is nothing to report).
-        plans = experiments._result.plan_reports
-        if plans:
-            print()
-            print("Backend plans (--backend auto):")
-            for method_name, plan in plans.items():
-                print(f"  {method_name}: {plan.summary()}")
     return 0
 
 

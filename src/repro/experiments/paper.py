@@ -221,8 +221,8 @@ class PaperExperiments:
     config: Optional[SimrankConfig] = None
     desirability_cases: int = 50
     seed: int = 29
-    backend: str = "matrix"
-    #: Parallel-fitting knobs of the sharded/auto backends: worker count
+    backend: str = "sharded"
+    #: Parallel-fitting knobs of the sharded backend: worker count
     #: (-1 = all available CPUs) and pool flavour (thread/process/auto).
     n_jobs: int = 1
     executor: str = "auto"

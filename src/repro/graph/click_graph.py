@@ -386,14 +386,11 @@ class ClickGraph:
     def to_sparse_matrix(
         self,
         source: WeightSource = WeightSource.EXPECTED_CLICK_RATE,
-        binary: bool = False,
     ) -> Tuple["object", List[Node], List[Node]]:
         """Export a query x ad ``scipy.sparse.csr_matrix`` of edge weights.
 
         Returns ``(matrix, query_index, ad_index)`` where the index lists map
-        row/column positions back to node identifiers.  With ``binary=True``
-        every edge exports as 1.0 regardless of its statistics (the adjacency
-        indicator the SimRank engines iterate on); ``source`` is ignored.
+        row/column positions back to node identifiers.
         """
         import numpy as np
         from scipy import sparse
@@ -409,7 +406,7 @@ class ClickGraph:
         for query, ad, stats in self.edges():
             rows.append(query_pos[query])
             cols.append(ad_pos[ad])
-            data.append(1.0 if binary else stats.weight(source))
+            data.append(stats.weight(source))
         matrix = sparse.csr_matrix(
             (np.array(data, dtype=float), (rows, cols)),
             shape=(len(query_index), len(ad_index)),

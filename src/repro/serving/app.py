@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 from repro.api.config import EngineConfig
 from repro.api.engine import RewriteEngine
 from repro.api.sources import resolve_engine_source
-from repro.core.config import SimrankConfig
+from repro.core.config import PAPER_CONFIG
 from repro.serving.holder import EngineHolder
 from repro.serving.server import RewriteServer, ServerConfig
 
@@ -86,9 +86,14 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--method", default="weighted_simrank", help="registered similarity method"
     )
     source.add_argument(
-        "--backend", default=None, help="method backend (default: the method's own)"
+        "--backend",
+        default=None,
+        help="method backend (default: the method's own, sharded for the "
+        "SimRank methods)",
     )
-    source.add_argument("--iterations", type=int, default=7, help="SimRank iterations")
+    source.add_argument(
+        "--iterations", type=int, default=PAPER_CONFIG.iterations, help="SimRank iterations"
+    )
     source.add_argument(
         "--tolerance",
         type=float,
@@ -171,8 +176,8 @@ def build_engine(args: argparse.Namespace) -> RewriteEngine:
         config = EngineConfig(
             method=args.method,
             backend=args.backend,
-            similarity=SimrankConfig(
-                iterations=args.iterations, tolerance=args.tolerance
+            similarity=dataclasses.replace(
+                PAPER_CONFIG, iterations=args.iterations, tolerance=args.tolerance
             ),
         )
         resolved = resolve_engine_source(

@@ -1,4 +1,4 @@
-"""Construction-time validation of EngineConfig (satellite of the auto planner).
+"""Construction-time validation of EngineConfig.
 
 Regression: a typo'd ``backend`` or nonsensical ``n_jobs`` used to survive
 construction and blow up later, deep inside ``fit()`` or a snapshot load.
@@ -31,7 +31,7 @@ class TestBackendValidation:
         assert config.backend == "custom"
 
     def test_replace_revalidates(self):
-        config = EngineConfig(method="simrank", backend="matrix")
+        config = EngineConfig(method="simrank", backend="sharded")
         with pytest.raises(ConfigError):
             config.replace(backend="gpu")
 
@@ -88,7 +88,7 @@ class TestFromDictValidation:
             EngineConfig.from_dict({"method": "simrank", "turbo": True})
 
     def test_parallel_knobs_round_trip(self):
-        config = EngineConfig(backend="auto", n_jobs=-1, executor="process")
+        config = EngineConfig(backend="sharded", n_jobs=-1, executor="process")
         assert EngineConfig.from_dict(config.to_dict()) == config
 
     def test_legacy_payload_without_parallel_knobs_defaults(self):

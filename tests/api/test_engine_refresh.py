@@ -21,7 +21,7 @@ from repro.synth.scenarios import multi_component_graph
 #: Tolerance-converged config so warm and cold fits agree to ~1e-7.
 SIMILARITY = SimrankConfig(iterations=80, tolerance=1e-8, zero_evidence_floor=0.1)
 
-BACKENDS = ["matrix", "sharded", "sparse"]
+BACKENDS = ["sharded", "reference"]
 
 
 def build_graph():

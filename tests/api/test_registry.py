@@ -61,13 +61,8 @@ class TestBuiltins:
 
     def test_simrank_family_has_all_backends(self):
         for name in ("simrank", "evidence_simrank", "weighted_simrank"):
-            assert available_backends(name) == (
-                "matrix",
-                "reference",
-                "sharded",
-                "sparse",
-                "auto",
-            )
+            assert available_backends(name) == ("sharded", "reference")
+            assert method_spec(name).default_backend == "sharded"
 
     def test_specs_carry_descriptions(self):
         for name in available_methods():

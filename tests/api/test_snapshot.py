@@ -1,6 +1,8 @@
 """Engine snapshots: save/load round trips, the named store, failure modes."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -236,6 +238,21 @@ class TestFailureModes:
         with pytest.raises(SnapshotError, match="corrupt snapshot score matrix"):
             read_snapshot(path)
 
+    def test_torn_score_matrix_leaves_no_file_open(self, small_weighted_graph, tmp_path):
+        """The failed load closes the .npz it opened (no ResourceWarning)."""
+        engine = RewriteEngine.from_graph(
+            small_weighted_graph, EngineConfig(method="simrank")
+        ).fit()
+        path = engine.save(tmp_path / "snap")
+        scores = path / SCORES_FILENAME
+        scores.write_bytes(scores.read_bytes()[: scores.stat().st_size // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SnapshotError, match="corrupt snapshot score matrix"):
+                read_snapshot(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     def test_byte_corrupt_manifest_is_rejected(self, small_weighted_graph, tmp_path):
         engine = RewriteEngine.from_graph(
             small_weighted_graph, EngineConfig(method="simrank")
@@ -321,8 +338,8 @@ class TestFailureModes:
 
         original_save_npz = snapshot_module.sparse.save_npz
 
-        def poisoned_save_npz(file, matrix):
-            original_save_npz(file, matrix)  # scores written, then the crash
+        def poisoned_save_npz(file, matrix, **options):
+            original_save_npz(file, matrix, **options)  # scores written, then the crash
             raise RuntimeError("simulated crash before the manifest write")
 
         monkeypatch.setattr(snapshot_module.sparse, "save_npz", poisoned_save_npz)
@@ -336,7 +353,7 @@ class TestFailureModes:
         assert after == before
         assert [entry.name for entry in tmp_path.iterdir()] == ["snap"]
 
-    @pytest.mark.parametrize("backend", ["reference", "matrix", "sharded", "sparse"])
+    @pytest.mark.parametrize("backend", ["reference", "sharded"])
     def test_unrestored_ad_scores_fail_loudly_not_with_attribute_error(
         self, small_weighted_graph, tmp_path, backend
     ):

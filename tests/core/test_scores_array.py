@@ -125,12 +125,6 @@ class TestConstruction:
         assert len(store) == 1
         assert store.score("a", "a") == 1.0
 
-    def test_from_sparse_symmetrizes_upper_triangle(self):
-        matrix = sparse.csr_matrix(np.array([[0.0, 0.4], [0.3, 0.0]]))
-        store = ArraySimilarityScores.from_sparse(matrix, ["a", "b"])
-        assert store.score("a", "b") == pytest.approx(0.4)
-        assert store.score("b", "a") == pytest.approx(0.4)
-
     def test_empty_store(self):
         store = ArraySimilarityScores.from_dense(np.zeros((0, 0)), [])
         assert len(store) == 0

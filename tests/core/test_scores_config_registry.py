@@ -142,7 +142,7 @@ class TestRegistry:
 
     def test_backends_agree(self, fig3_graph, paper_config):
         reference = create("simrank", config=paper_config, backend="reference").fit(fig3_graph)
-        matrix = create("simrank", config=paper_config, backend="matrix").fit(fig3_graph)
+        matrix = create("simrank", config=paper_config, backend="sharded").fit(fig3_graph)
         assert matrix.query_similarity("pc", "tv") == pytest.approx(
             reference.query_similarity("pc", "tv"), abs=1e-9
         )

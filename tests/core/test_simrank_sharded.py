@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import SimrankConfig
+from repro.core.scores_array import ArraySimilarityScores
 from repro.core.simrank_matrix import MatrixSimrank
 from repro.core.simrank_sharded import ShardedSimrank
 from repro.graph.click_graph import ClickGraph
@@ -46,13 +47,80 @@ class TestSharding:
         assert len(method.similarities()) == 0
 
 
+class TestIterationsRun:
+    """``iterations_run`` is the most iterations any shard's fit ran."""
+
+    CONVERGING = SimrankConfig(iterations=200, tolerance=1e-9)
+
+    def test_cold_fit_reports_the_slowest_shard(self, four_component_graph):
+        method = ShardedSimrank(self.CONVERGING).fit(four_component_graph)
+        counts = [shard.iterations_run for shard in method._shard_methods]
+        assert method.iterations_run == max(counts)
+        assert 0 < method.iterations_run < 200
+
+    def test_reused_shards_keep_their_own_count(self, four_component_graph):
+        method = ShardedSimrank(self.CONVERGING).fit(four_component_graph)
+        cold_counts = [shard.iterations_run for shard in method._shard_methods]
+        changed = four_component_graph.copy()
+        stats = changed.edge("c0_q0", "c0_a0")
+        changed.add_edge(
+            "c0_q0", "c0_a0", impressions=stats.impressions + 5, clicks=stats.clicks
+        )
+        method.fit(changed, initial_scores=method.similarities())
+        assert method.reused_shards == 3
+        counts = [shard.iterations_run for shard in method._shard_methods]
+        assert method.iterations_run == max(counts)
+        refit = method.shard_of("c0_q0")
+        assert [c for i, c in enumerate(counts) if i != refit] == [
+            c for i, c in enumerate(cold_counts) if i != refit
+        ]
+
+    def test_restore_clears_the_count(self, four_component_graph):
+        method = ShardedSimrank(self.CONVERGING).fit(four_component_graph)
+        restored = ShardedSimrank(self.CONVERGING).restore(method.similarities())
+        assert restored.iterations_run is None
+
+    def test_empty_graph_runs_no_iterations(self):
+        method = ShardedSimrank(self.CONVERGING).fit(ClickGraph())
+        assert method.iterations_run == 0
+
+    def test_tolerance_exits_early_and_stays_close(self, four_component_graph):
+        full = ShardedSimrank(SimrankConfig(c1=0.6, c2=0.6, iterations=30)).fit(
+            four_component_graph
+        )
+        early = ShardedSimrank(
+            SimrankConfig(c1=0.6, c2=0.6, iterations=30, tolerance=1e-3)
+        ).fit(four_component_graph)
+        assert full.iterations_run == 30
+        assert early.iterations_run < 30
+        assert full.similarities().max_difference(early.similarities()) < 1e-2
+
+
 class TestScores:
     @pytest.mark.parametrize("mode", ["simrank", "evidence", "weighted"])
-    def test_matches_dense_engine(self, four_component_graph, mode):
-        config = SimrankConfig(iterations=7, zero_evidence_floor=0.1)
+    @pytest.mark.parametrize("floor", [0.0, 0.1])
+    def test_matches_dense_engine(self, four_component_graph, mode, floor):
+        config = SimrankConfig(iterations=7, zero_evidence_floor=floor)
         dense = MatrixSimrank(config, mode=mode).fit(four_component_graph)
         sharded = ShardedSimrank(config, mode=mode).fit(four_component_graph)
         assert dense.similarities().max_difference(sharded.similarities()) < 1e-12
+
+    def test_serving_top_matches_dense_engine(self, four_component_graph):
+        config = SimrankConfig(iterations=7)
+        dense = MatrixSimrank(config, mode="weighted").fit(four_component_graph)
+        sharded = ShardedSimrank(config, mode="weighted").fit(four_component_graph)
+        for query in sorted(four_component_graph.queries(), key=repr):
+            dense_top = dense.top_rewrites(query, k=5)
+            sharded_top = sharded.top_rewrites(query, k=5)
+            assert [node for node, _ in sharded_top] == [node for node, _ in dense_top]
+            for (_, expected), (_, actual) in zip(dense_top, sharded_top):
+                assert actual == pytest.approx(expected, abs=1e-12)
+
+    def test_returns_one_array_backed_store(self, four_component_graph):
+        method = ShardedSimrank(SimrankConfig(iterations=5)).fit(four_component_graph)
+        scores = method.similarities()
+        assert isinstance(scores, ArraySimilarityScores)
+        assert scores.matrix.shape == (len(scores.index), len(scores.index))
 
     def test_cross_component_pairs_score_zero(self, four_component_graph):
         method = ShardedSimrank(SimrankConfig(iterations=5)).fit(four_component_graph)
@@ -247,14 +315,22 @@ class TestProcessExecutor:
             method.fit(graph)
         assert not method.is_fitted
 
+    def test_auto_executor_picks_threads_for_tiny_shards(self, four_component_graph):
+        method = ShardedSimrank(SimrankConfig(iterations=5), n_jobs=2)
+        assert method.executor == "auto"
+        subgraphs = ShardedSimrank(SimrankConfig(iterations=5)).fit(
+            four_component_graph
+        ).shard_graphs()
+        assert method._resolve_executor(subgraphs, workers=2) == "thread"
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_explicit_executor_is_honoured(self, four_component_graph, executor):
+        method = ShardedSimrank(SimrankConfig(iterations=5), n_jobs=2, executor=executor)
+        subgraphs = ShardedSimrank(SimrankConfig(iterations=5)).fit(
+            four_component_graph
+        ).shard_graphs()
+        assert method._resolve_executor(subgraphs, workers=2) == executor
+
     def test_invalid_executor_rejected(self):
         with pytest.raises(ValueError):
             ShardedSimrank(executor="fibers")
-
-
-class TestAutoInnerBackend:
-    def test_small_shards_all_fit_dense(self, four_component_graph):
-        method = ShardedSimrank(
-            SimrankConfig(iterations=5), inner_backend="auto"
-        ).fit(four_component_graph)
-        assert method.shard_backends() == ["matrix"] * method.num_shards

@@ -8,6 +8,12 @@ configuration tables into parametrized fixtures; the tests import the rest.
 
 from __future__ import annotations
 
+import contextlib
+
+import pytest
+
+from repro.api.config import EngineConfig
+from repro.api.registry import RETIRED_BACKENDS, SIMRANK_BACKENDS
 from repro.core.config import SimrankConfig
 from repro.synth.scenarios import equivalence_scenarios
 
@@ -24,5 +30,30 @@ CONFIGS = {
 #: The three evidence modes, by registered method name.
 MODES = ["simrank", "evidence_simrank", "weighted_simrank"]
 
+#: The dense kernel's mode name for each registered method.
+KERNEL_MODES = {
+    "simrank": "simrank",
+    "evidence_simrank": "evidence",
+    "weighted_simrank": "weighted",
+}
+
 #: Maximum per-pair score disagreement tolerated between any two backends.
 TOLERANCE = 1e-6
+
+#: Every backend name an engine config may carry: the registered backends and
+#: the retired names, which resolve to ``sharded`` and must keep serving
+#: exactly what it serves through every source until they are removed.
+BACKEND_NAMES = [*SIMRANK_BACKENDS, *sorted(RETIRED_BACKENDS)]
+
+
+def expect_retired_warning(backend: str):
+    """``pytest.warns`` for a retired backend name, a no-op context otherwise."""
+    if backend in RETIRED_BACKENDS:
+        return pytest.warns(DeprecationWarning, match="retired")
+    return contextlib.nullcontext()
+
+
+def engine_config(backend: str, **options) -> EngineConfig:
+    """An :class:`EngineConfig` for ``backend``, asserting a retired name warns."""
+    with expect_retired_warning(backend):
+        return EngineConfig(backend=backend, **options)

@@ -1,8 +1,8 @@
 """Shared fixtures of the cross-backend equivalence harness.
 
-The harness runs every SimRank backend (naive node-pair ``reference``, dense
-``matrix``, component-sharded ``sharded``, pruned-CSR ``sparse``) over the
-same scenario graphs and asserts score agreement.  Scenarios come from
+The harness runs every SimRank backend (naive node-pair ``reference`` and
+component-sharded ``sharded``) over the same scenario graphs and asserts
+score agreement.  Scenarios come from
 :func:`repro.synth.scenarios.equivalence_scenarios`, so adding a scenario
 there automatically extends this safety net; backends come from
 :data:`repro.api.registry.SIMRANK_BACKENDS`, so a future backend only has to

@@ -1,12 +1,10 @@
 """All SimRank backends must agree on all scenario graphs, in every mode.
 
 This is the standing safety net for similarity backends: the naive node-pair
-implementations (``reference``), the dense matrix engine (``matrix``), the
-component-sharded engine (``sharded``) and the pruned sparse engine
-(``sparse``, run here with truncation disabled -- the registry default --
-so it is exact) are interchangeable claims, and this module is where the
-claim is enforced.  A new backend registered for the SimRank family is
-picked up through the registry and has to pass the same matrix of
+implementations (``reference``) and the component-sharded engine
+(``sharded``, the default) are interchangeable claims, and this module is
+where the claim is enforced.  A new backend registered for the SimRank
+family is picked up through the registry and has to pass the same matrix of
 scenarios x modes x configurations.
 """
 
@@ -16,12 +14,16 @@ import itertools
 
 import pytest
 
-from backend_matrix import CONFIGS, MODES, SCENARIOS, TOLERANCE
+from backend_matrix import CONFIGS, KERNEL_MODES, MODES, SCENARIOS, TOLERANCE
 
 from repro.api.config import EngineConfig
 from repro.api.engine import RewriteEngine
 from repro.api.registry import SIMRANK_BACKENDS, available_backends, create
 from repro.core.scores import SimilarityScores
+from repro.core.simrank_matrix import MatrixSimrank
+
+#: Backends checked against the ``reference`` oracle.
+FAST_BACKENDS = [backend for backend in SIMRANK_BACKENDS if backend != "reference"]
 
 
 def _fit_all_backends(method_name, graph, config):
@@ -67,7 +69,7 @@ class TestScoreAgreement:
         fitted = _fit_all_backends(method_name, scenario_graph, simrank_config)
         pairs = _union_pairs(method.similarities() for method in fitted.values())
         reference = fitted["reference"]
-        for other_name in ("matrix", "sharded", "sparse"):
+        for other_name in FAST_BACKENDS:
             other = fitted[other_name]
             for first, second in sorted(pairs, key=repr):
                 assert other.query_similarity(first, second) == pytest.approx(
@@ -108,7 +110,7 @@ class TestServingEquivalence:
             engines[backend] = engine
             batches[backend] = engine.rewrite_batch(queries)
         reference = batches["reference"]
-        for backend in ("matrix", "sharded", "sparse"):
+        for backend in FAST_BACKENDS:
             for expected, actual in zip(reference, batches[backend]):
                 context = f"{method_name}/{backend}: query {expected.query!r}"
                 assert expected.depth == actual.depth, context
@@ -127,19 +129,27 @@ class TestServingEquivalence:
 
 
 class TestCrossComponentZeroes:
-    """Sharding is only sound because cross-component scores are zero."""
+    """Sharding is only sound because cross-component scores are zero.
+
+    Two fits see the whole graph at once: the dense kernel every shard runs
+    (``matrix``) and the node-pair oracle (``reference``).  Both must score
+    every pair that straddles two shards exactly zero.
+    """
 
     @pytest.mark.parametrize("method_name", MODES)
-    @pytest.mark.parametrize("whole_graph_backend", ["matrix", "sparse"])
+    @pytest.mark.parametrize("whole_graph_backend", ["matrix", "reference"])
     def test_whole_graph_backends_score_cross_component_pairs_zero(
         self, method_name, whole_graph_backend, scenario_graph, simrank_config
     ):
         sharded = create(method_name, config=simrank_config, backend="sharded").fit(
             scenario_graph
         )
-        whole = create(
-            method_name, config=simrank_config, backend=whole_graph_backend
-        ).fit(scenario_graph)
+        if whole_graph_backend == "matrix":
+            whole = MatrixSimrank(simrank_config, mode=KERNEL_MODES[method_name])
+        else:
+            whole = create(method_name, config=simrank_config, backend="reference")
+        whole.fit(scenario_graph)
+        assert sharded.similarities().max_difference(whole.similarities()) <= TOLERANCE
         queries = sorted(scenario_graph.queries(), key=repr)
         for first, second in itertools.combinations(queries, 2):
             if sharded.shard_of(first) != sharded.shard_of(second):
@@ -150,8 +160,7 @@ def test_scenarios_and_backends_are_nontrivial():
     """Guard the harness itself: a pruned matrix would silently weaken it."""
     assert len(SCENARIOS) >= 5
     assert len(CONFIGS) >= 2
-    assert len(SIMRANK_BACKENDS) >= 4
-    assert "sparse" in SIMRANK_BACKENDS
+    assert {"sharded", "reference"} <= set(SIMRANK_BACKENDS)
     assert any(
         scores_something(build()) for build in SCENARIOS.values()
     )

@@ -1,7 +1,7 @@
-"""SQLite serving stores must be serving-equivalent for every backend.
+"""SQLite serving stores must be serving-equivalent for every backend name.
 
-The store layer's contract (ISSUE 10 acceptance criterion): for each
-SimRank backend and each evidence mode, ``RewriteEngine.from_store(path)``
+The store layer's contract: for each SimRank backend (and each retired
+backend name, which resolves to ``sharded``) and each evidence mode, ``RewriteEngine.from_store(path)``
 serves *byte-identical* rewrite lists -- same rewrites, same ranks,
 bit-identical float64 scores -- to the fitted engine the store was
 exported from.  The window-function ranking inside SQLite (``ROW_NUMBER()
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from backend_matrix import CONFIGS, MODES, SCENARIOS
+from backend_matrix import BACKEND_NAMES, CONFIGS, MODES, SCENARIOS, engine_config
 
 from repro.api.config import EngineConfig
 from repro.api.engine import RewriteEngine
@@ -31,14 +31,12 @@ def fitted_engine(method_name, backend):
     graph = SCENARIOS[SCENARIO]()
     return RewriteEngine.from_graph(
         graph,
-        EngineConfig(
-            method=method_name, backend=backend, similarity=CONFIGS["floored"]
-        ),
+        engine_config(backend, method=method_name, similarity=CONFIGS["floored"]),
         bid_terms={str(query) for query in graph.queries()},
     ).fit()
 
 
-@pytest.mark.parametrize("backend", SIMRANK_BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @pytest.mark.parametrize("method_name", MODES)
 def test_sqlite_store_serves_identical_rewrites(method_name, backend, tmp_path):
     engine = fitted_engine(method_name, backend)
@@ -52,7 +50,7 @@ def test_sqlite_store_serves_identical_rewrites(method_name, backend, tmp_path):
     assert served.serving_store.queries() == queries
 
 
-@pytest.mark.parametrize("backend", SIMRANK_BACKENDS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 @pytest.mark.parametrize("method_name", MODES)
 def test_memory_store_serves_identical_rewrites(method_name, backend):
     engine = fitted_engine(method_name, backend)
@@ -62,6 +60,36 @@ def test_memory_store_serves_identical_rewrites(method_name, backend):
     assert served.serving_profile(queries) == engine.serving_profile(queries)
 
 
+@pytest.mark.parametrize("backend", SIMRANK_BACKENDS)
+@pytest.mark.parametrize("method_name", MODES)
+def test_every_scenario_serves_byte_equal_from_every_source(
+    method_name, backend, scenario_graph, simrank_config, tmp_path
+):
+    """Snapshot, SQLite and in-memory sources agree on every scenario graph.
+
+    Ties are where the sources could drift apart (each re-implements the
+    ``(-score, repr(node))`` ordering), and the scenario matrix is where
+    the ties are: symmetric fragments, isolates and both configurations.
+    """
+    engine = RewriteEngine.from_graph(
+        scenario_graph,
+        EngineConfig(method=method_name, backend=backend, similarity=simrank_config),
+        bid_terms={str(query) for query in scenario_graph.queries()},
+    ).fit()
+    queries = engine._serving_universe()
+    expected = engine.serving_profile(queries)
+
+    snapshot = RewriteEngine.load(engine.save(tmp_path / "snapshot"))
+    memory = RewriteEngine.from_store(InMemoryServingStore.from_engine(engine))
+    sqlite = RewriteEngine.from_store(engine.export_store(tmp_path / "rewrites.sqlite"))
+    try:
+        assert snapshot.serving_profile(queries) == expected
+        assert memory.serving_profile(queries) == expected
+        assert sqlite.serving_profile(queries) == expected
+    finally:
+        sqlite.serving_store.close()
+
+
 def test_store_equivalence_survives_bounded_lru_cache(tmp_path):
     """Cache churn recomputes through the store; results must not drift."""
     graph = SCENARIOS[SCENARIO]()
@@ -69,7 +97,7 @@ def test_store_equivalence_survives_bounded_lru_cache(tmp_path):
         graph,
         EngineConfig(
             method="weighted_simrank",
-            backend="matrix",
+            backend="sharded",
             similarity=CONFIGS["floored"],
             cache_size=3,
         ),

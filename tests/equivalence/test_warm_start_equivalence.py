@@ -13,10 +13,17 @@ from __future__ import annotations
 
 import pytest
 
-from backend_matrix import MODES, TOLERANCE
+from backend_matrix import (
+    BACKEND_NAMES,
+    KERNEL_MODES,
+    MODES,
+    TOLERANCE,
+    expect_retired_warning,
+)
 
-from repro.api.registry import SIMRANK_BACKENDS, create
+from repro.api.registry import create
 from repro.core.config import SimrankConfig
+from repro.core.simrank_matrix import MatrixSimrank
 from repro.graph.delta import DeltaBuilder
 from repro.synth.scenarios import multi_component_graph
 
@@ -50,21 +57,34 @@ def perturbed_pair():
     return old, new
 
 
+#: The registered default and the dense kernel it runs per shard, fitted on
+#: the whole graph: both warm-start paths must reach the cold fixpoint.
+WARM_ENGINES = ["sharded", "dense_kernel"]
+
+
+def build(engine, mode):
+    """An unfitted ``mode`` engine: a registered backend or the dense kernel."""
+    if engine == "dense_kernel":
+        return MatrixSimrank(CONVERGED, mode=KERNEL_MODES[mode])
+    with expect_retired_warning(engine):
+        return create(mode, config=CONVERGED, backend=engine)
+
+
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("backend", sorted(SIMRANK_BACKENDS))
+@pytest.mark.parametrize("backend", sorted(BACKEND_NAMES))
 def test_warm_start_agrees_with_cold_fit(backend, mode):
     old, new = perturbed_pair()
-    previous = create(mode, config=CONVERGED, backend=backend).fit(old)
+    previous = build(backend, mode).fit(old)
 
-    cold = create(mode, config=CONVERGED, backend=backend).fit(new)
-    warm = create(mode, config=CONVERGED, backend=backend)
+    cold = build(backend, mode).fit(new)
+    warm = build(backend, mode)
     warm.fit(new, initial_scores=previous.similarities())
 
     assert warm.similarities().max_difference(cold.similarities()) < TOLERANCE
 
 
-@pytest.mark.parametrize("backend", ["matrix", "sparse"])
-def test_warm_start_converges_in_fewer_iterations(backend):
+@pytest.mark.parametrize("engine", WARM_ENGINES)
+def test_warm_start_converges_in_fewer_iterations(engine):
     """On a tiny perturbation the warm fit must exit far earlier than cold."""
     old = multi_component_graph(
         num_components=3, queries_per_component=5, ads_per_component=4, seed=23
@@ -82,9 +102,9 @@ def test_warm_start_converges_in_fewer_iterations(backend):
         )
         .build()
     )
-    previous = create("weighted_simrank", config=CONVERGED, backend=backend).fit(old)
-    cold = create("weighted_simrank", config=CONVERGED, backend=backend).fit(new)
-    warm = create("weighted_simrank", config=CONVERGED, backend=backend)
+    previous = build(engine, "weighted_simrank").fit(old)
+    cold = build(engine, "weighted_simrank").fit(new)
+    warm = build(engine, "weighted_simrank")
     warm.fit(new, initial_scores=previous.similarities())
 
     assert warm.warm_started is True
@@ -92,11 +112,11 @@ def test_warm_start_converges_in_fewer_iterations(backend):
     assert warm.similarities().max_difference(cold.similarities()) < TOLERANCE
 
 
-@pytest.mark.parametrize("backend", ["matrix", "sparse"])
-def test_dict_backed_seed_is_accepted(backend):
+@pytest.mark.parametrize("engine", WARM_ENGINES)
+def test_dict_backed_seed_is_accepted(engine):
     """A reference fit's dict-backed store seeds the array engines too.
 
-    This is the cross-backend warm-start path (e.g. seeding a matrix refit
+    This is the cross-backend warm-start path (e.g. seeding a sharded refit
     from a snapshot of a reference engine): ``_seed_triplets`` falls back to
     the ``pairs()`` protocol when the store has no matrix/index.
     """
@@ -104,8 +124,8 @@ def test_dict_backed_seed_is_accepted(backend):
     previous = create("simrank", config=CONVERGED, backend="reference").fit(old)
     assert not hasattr(previous.similarities(), "matrix")
 
-    cold = create("simrank", config=CONVERGED, backend=backend).fit(new)
-    warm = create("simrank", config=CONVERGED, backend=backend)
+    cold = build(engine, "simrank").fit(new)
+    warm = build(engine, "simrank")
     warm.fit(new, initial_scores=previous.similarities())
 
     assert warm.warm_started is True
@@ -124,10 +144,10 @@ def test_seed_with_disjoint_nodes_is_harmless():
     renamed = type(unrelated)()
     for query, ad, stats in unrelated.edges():
         renamed.add_edge_stats(f"x_{query}", f"x_{ad}", stats)
-    previous = create("simrank", config=CONVERGED, backend="matrix").fit(renamed)
+    previous = create("simrank", config=CONVERGED, backend="sharded").fit(renamed)
 
-    cold = create("simrank", config=CONVERGED, backend="matrix").fit(old)
-    warm = create("simrank", config=CONVERGED, backend="matrix")
+    cold = create("simrank", config=CONVERGED, backend="sharded").fit(old)
+    warm = create("simrank", config=CONVERGED, backend="sharded")
     warm.fit(old, initial_scores=previous.similarities())
     assert warm.similarities().max_difference(cold.similarities()) < TOLERANCE
 

@@ -139,7 +139,7 @@ class TestHarnessOptions:
         from repro.api.snapshot import EngineSnapshotStore
 
         store = EngineSnapshotStore(snapshot_dir)
-        assert store.list_snapshots() == ["simrank-matrix", "weighted_simrank-matrix"]
+        assert store.list_snapshots() == ["simrank-sharded", "weighted_simrank-sharded"]
 
         loaded = ExperimentHarness(load_engines_from=snapshot_dir, **kwargs).run()
         for method_name in kwargs["methods"]:
@@ -272,7 +272,7 @@ class TestHarnessOptions:
         )
         ExperimentHarness(save_engines_to=snapshot_dir, **kwargs).run()
         # Damage the score matrix but keep the (matching) manifest intact.
-        (snapshot_dir / "weighted_simrank-matrix" / "query_scores.npz").write_bytes(
+        (snapshot_dir / "weighted_simrank-sharded" / "query_scores.npz").write_bytes(
             b"damaged"
         )
         harness = ExperimentHarness(load_engines_from=snapshot_dir, **kwargs)
@@ -281,8 +281,8 @@ class TestHarnessOptions:
         )
         assert engine.graph is not None  # fitted fresh instead of crashing
 
-    def test_sharded_backend_runs_the_full_pipeline(self, tiny_workload):
-        """--backend sharded works end-to-end, matching the matrix coverage."""
+    def test_sharded_backend_matches_the_reference_pipeline(self, tiny_workload):
+        """The default sharded backend matches the reference oracle's coverage."""
         kwargs = dict(
             workload=tiny_workload,
             methods=["weighted_simrank"],
@@ -292,6 +292,6 @@ class TestHarnessOptions:
             traffic_sample_size=100,
         )
         sharded = ExperimentHarness(backend="sharded", **kwargs).run()
-        dense = ExperimentHarness(backend="matrix", **kwargs).run()
-        assert sharded.coverage_by_method() == dense.coverage_by_method()
+        reference = ExperimentHarness(backend="reference", **kwargs).run()
+        assert sharded.coverage_by_method() == reference.coverage_by_method()
         assert set(sharded.desirability) == {"weighted_simrank"}

@@ -113,10 +113,10 @@ class TestCli:
         saved_output = capsys.readouterr().out
         store = EngineSnapshotStore(snapshot_dir)
         assert store.list_snapshots() == [
-            "evidence_simrank-matrix",
-            "pearson-matrix",
-            "simrank-matrix",
-            "weighted_simrank-matrix",
+            "evidence_simrank-sharded",
+            "pearson-sharded",
+            "simrank-sharded",
+            "weighted_simrank-sharded",
         ]
         assert main(base + ["--load-engine", snapshot_dir]) == 0
         assert capsys.readouterr().out == saved_output
