@@ -1,7 +1,7 @@
 """Ablation: the desirability experiment with and without direct-evidence removal.
 
 At laptop scale the edge removal of the paper's Figure 12 protocol destroys
-most of the signal that distinguishes the candidates (see EXPERIMENTS.md).
+most of the signal that distinguishes the candidates.
 This ablation keeps the same sampled cases and compares the removal protocol
 against a no-removal variant, quantifying how much of the task the direct
 evidence carries: all methods recover a large part of the ordering when the

@@ -12,5 +12,6 @@ def test_figure12_desirability(benchmark, harness_result):
         for name, value in desirability.items()
     ]
     print(format_table(rows, title="Figure 12: desirability prediction (edge removal, 50 queries)"))
-    print("(paper: SimRank 54%, evidence-based 54%, weighted 92%; see EXPERIMENTS.md for the")
-    print(" laptop-scale caveat and the no-removal ablation that isolates the weight signal)")
+    print("(paper: SimRank 54%, evidence-based 54%, weighted 92%; at laptop scale the removal")
+    print(" destroys most of the weight signal -- bench_ablation_desirability_no_removal.py")
+    print(" isolates it)")

@@ -1,7 +1,7 @@
-"""SQL-serving gate: latency ratio, byte-equality and resident memory.
+"""SQL-serving gate: latency ratio, byte-equality, resident memory, export cost.
 
-ISSUE 10's acceptance criteria for the SQLite serving store
-(:mod:`repro.store`), all three asserted in one run:
+The acceptance criteria for the SQLite serving store (:mod:`repro.store`),
+all four asserted in one run:
 
 1. **Latency.**  On the 1500-node scenario graph, p99 ``rewrites()``
    lookup latency against the SQLite store must be within **5x** of the
@@ -18,6 +18,10 @@ ISSUE 10's acceptance criteria for the SQLite serving store
    child spawned from this (large) benchmark process would inherit the
    parent's peak -- ``VmHWM`` belongs to the fresh post-exec address
    space and measures only the child's own serving footprint.
+4. **Export cost.**  On the same larger graph, ``export_store`` must take
+   at most **2x** as long as the ``fit`` it materializes: the store holds
+   only the filtered lists the engine already serves, so writing it must
+   not dwarf computing them.
 
 Writes ``BENCH_sql_serving.json`` next to this file.  Run with::
 
@@ -46,6 +50,8 @@ P99_RATIO_CEILING = 5.0
 #: this margin (MiB) on the RSS graph -- "measurably below", not noise.
 RSS_MARGIN_MIB = 8.0
 LATENCY_ROUNDS = 5
+#: export_store may take at most this many times the fit's wall time.
+EXPORT_RATIO_CEILING = 2.0
 
 SIMILARITY = SimrankConfig(iterations=7, zero_evidence_floor=0.1)
 
@@ -80,7 +86,7 @@ def build_engine(graph_params):
         method="weighted_simrank", backend="sharded", similarity=SIMILARITY
     )
     bid_terms = {str(query) for query in graph.queries()}
-    return RewriteEngine.from_graph(graph, config, bid_terms=bid_terms).fit()
+    return RewriteEngine.from_graph(graph, config, bid_terms=bid_terms)
 
 
 def percentile(values, fraction):
@@ -100,7 +106,7 @@ def lookup_latencies(store, queries, rounds=LATENCY_ROUNDS):
 
 
 def measure_latency_and_equality(workdir: Path) -> dict:
-    engine = build_engine(LATENCY_GRAPH_PARAMS)
+    engine = build_engine(LATENCY_GRAPH_PARAMS).fit()
     store_path = engine.export_store(workdir / "latency.sqlite")
     queries = engine._serving_universe()
 
@@ -169,8 +175,12 @@ def serve_in_subprocess(kind: str, source: Path, queries_path: Path) -> dict:
 
 def measure_rss(workdir: Path) -> dict:
     engine = build_engine(RSS_GRAPH_PARAMS)
-    snapshot_path = engine.save(workdir / "rss-snapshot")
+    started = time.perf_counter()
+    engine.fit()
+    fitted = time.perf_counter()
     store_path = engine.export_store(workdir / "rss.sqlite")
+    exported = time.perf_counter()
+    snapshot_path = engine.save(workdir / "rss-snapshot")
     queries = engine._serving_universe()[:RSS_SERVING_QUERIES]
     queries_path = workdir / "rss-queries.json"
     queries_path.write_text(json.dumps(queries))
@@ -180,6 +190,9 @@ def measure_rss(workdir: Path) -> dict:
     return {
         "graph": RSS_GRAPH_PARAMS,
         "stored_pairs": len(engine.method.similarities()),
+        "fit_s": fitted - started,
+        "export_s": exported - fitted,
+        "store_bytes": store_path.stat().st_size,
         "serving_queries": len(queries),
         "snapshot_peak_kib": snapshot["peak_kib"],
         "store_peak_kib": store["peak_kib"],
@@ -207,6 +220,7 @@ def write_artifact(results: dict) -> None:
             "zero_evidence_floor": SIMILARITY.zero_evidence_floor,
             "p99_ratio_ceiling": P99_RATIO_CEILING,
             "rss_margin_mib": RSS_MARGIN_MIB,
+            "export_ratio_ceiling": EXPORT_RATIO_CEILING,
         },
         "results": results,
     }
@@ -224,7 +238,8 @@ def test_sql_serving_is_equal_fast_and_small():
         f"ceiling {P99_RATIO_CEILING}x); store {latency['store_bytes'] / 1024:.0f} KiB; "
         f"peak RSS: snapshot {rss['snapshot_peak_kib'] / 1024:.0f} MiB, store "
         f"{rss['store_peak_kib'] / 1024:.0f} MiB (saved {rss['saved_mib']:.0f} MiB); "
-        f"artifact: {ARTIFACT_PATH.name}"
+        f"export {rss['export_s']:.2f} s vs fit {rss['fit_s']:.2f} s "
+        f"(ceiling {EXPORT_RATIO_CEILING}x); artifact: {ARTIFACT_PATH.name}"
     )
     # Equivalence first: a fast wrong answer must not pass.
     assert latency["equal_serving"], "store-backed serving profile differs"
@@ -237,6 +252,10 @@ def test_sql_serving_is_equal_fast_and_small():
     assert saved >= RSS_MARGIN_MIB, (
         f"store-backed serving saved only {saved:.1f} MiB of peak RSS over "
         f"snapshot serving (required margin: {RSS_MARGIN_MIB} MiB)"
+    )
+    assert rss["export_s"] <= EXPORT_RATIO_CEILING * rss["fit_s"], (
+        f"export_store took {rss['export_s']:.2f} s against a "
+        f"{rss['fit_s']:.2f} s fit (ceiling: {EXPORT_RATIO_CEILING}x)"
     )
 
 

@@ -71,7 +71,7 @@ def main() -> None:
     print(
         "\nPaper (Figure 12, 15M-node Yahoo! graph): SimRank 54%, evidence-based 54%, weighted 92%.\n"
         "At laptop scale the removal destroys most of the weight signal, so the per-method gap\n"
-        "shrinks; EXPERIMENTS.md discusses this substitution effect in detail."
+        "shrinks; the no-removal column above isolates that substitution effect."
     )
 
 

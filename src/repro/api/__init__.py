@@ -108,9 +108,8 @@ Serving stores and the engine-source resolver
 
 Serving does not even require the score matrix resident:
 ``engine.export_store(path)`` materializes the per-query rewrite lists
-into a single-file SQLite serving store (ranked inside the database by a
-window-function query under the exact in-memory tie-break, then filtered
-by the real Section 9.3 pipeline -- :mod:`repro.store`), and
+into a single-file SQLite serving store (the lists the engine itself
+serves, written row for row -- :mod:`repro.store`), and
 ``RewriteEngine.from_store(path)`` revives a serving-only engine that
 answers byte-equal rewrite lists via indexed point lookups with O(cache)
 resident memory.  :func:`repro.api.sources.resolve_engine_source` is the

@@ -810,13 +810,11 @@ class RewriteEngine:
     def export_store(self, path: PathLike) -> Path:
         """Materialize the fitted serving lists as a SQLite store file.
 
-        Ranks every query's candidate pool inside the database (a
-        window-function query under the exact in-memory tie-break), runs
-        the Section 9.3 filter pipeline over the pools and writes the
-        surviving per-query top-k lists into a single crash-safe SQLite
-        file -- see :mod:`repro.store.sqlite`.  :meth:`from_store` then
-        serves byte-equal rewrite lists from it with O(cache) resident
-        memory.  Returns the store path.
+        Computes every query's rewrite list with this engine's own top-k
+        and Section 9.3 filter pipeline and writes the lists into a single
+        crash-safe SQLite file -- see :mod:`repro.store.sqlite`.
+        :meth:`from_store` then serves byte-equal rewrite lists from it with
+        O(cache) resident memory.  Returns the store path.
         """
         self._ensure_not_store_backed("export_store")
         from repro.store.sqlite import export_serving_store

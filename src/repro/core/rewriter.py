@@ -133,6 +133,8 @@ class QueryRewriter:
         Rewrite lists are memoized per query, so repeated ``rewrites_for``
         calls (and the ``coverage`` / ``depth_histogram`` statistics, which
         share the memo) run the similarity top-k at most once per query.
+        Every path, :meth:`compute_rewrites` included, stems each score-index
+        node at most once (the signature memo).
         Changing any filtering attribute after serving has started requires a
         :meth:`clear_cache` call; refitting clears the memo automatically.
         """
@@ -147,6 +149,10 @@ class QueryRewriter:
         self.min_score = min_score
         self.deduplicate = deduplicate
         self._cache: Dict[Node, RewriteList] = {}
+        #: Stemmed signature of each score-index node the pipeline has seen
+        #: (candidates, and queries that had candidates).  Unknown user input
+        #: never lands here, so the memo is bounded by the fitted index.
+        self._signatures: Dict[Node, Tuple[str, ...]] = {}
         self._bid_signatures: Optional[Set[Tuple[str, ...]]] = None
         self._bid_signature_source: Optional[Set[str]] = None
 
@@ -159,8 +165,9 @@ class QueryRewriter:
         return self
 
     def clear_cache(self) -> None:
-        """Drop memoized rewrite lists (needed after mutating filter knobs)."""
+        """Drop memoized rewrite lists and node signatures (needed after knob changes)."""
         self._cache.clear()
+        self._signatures.clear()
         # Recompute the bid-term signatures too: an identity check alone would
         # miss in-place mutations of the bid_terms set.
         self._bid_signatures = None
@@ -209,6 +216,23 @@ class QueryRewriter:
             self._bid_signature_source = self.bid_terms
         return self._bid_signatures
 
+    def _signature(self, node: Node) -> Tuple[str, ...]:
+        """``query_signature(node)``, stemmed once per score-index node.
+
+        Only call this for nodes of the fitted score index.  Only strings
+        are memoized: ``1``, ``1.0`` and ``True`` are equal dict keys but
+        stem differently.  Concurrent serving threads may both miss and stem
+        the same node; they store equal values, so the race costs one
+        redundant stem and nothing else.
+        """
+        if type(node) is not str:
+            return query_signature(node)
+        signature = self._signatures.get(node)
+        if signature is None:
+            signature = query_signature(node)
+            self._signatures[node] = signature
+        return signature
+
     def _generate(
         self, query: Node, collect_decisions: bool
     ) -> Tuple[RewriteList, List[CandidateDecision]]:
@@ -216,24 +240,29 @@ class QueryRewriter:
         candidates = self.method.top_rewrites(
             query, k=self.candidate_pool, minimum=self.min_score
         )
-        bid_signatures = self._bid_term_signatures()
         accepted: List[Rewrite] = []
         decisions: List[CandidateDecision] = []
-        seen_signatures = {query_signature(query)} if self.deduplicate else set()
+        if not candidates:
+            return RewriteList(query=query, rewrites=accepted), decisions
+        bid_signatures = self._bid_term_signatures()
+        seen_signatures = {self._signature(query)} if self.deduplicate else set()
         for candidate, score in candidates:
-            signature = query_signature(candidate)
             if len(accepted) >= self.max_rewrites:
+                if not collect_decisions:
+                    break
                 fate = "beyond_max_rewrites"
-            elif bid_signatures is not None and signature not in bid_signatures:
-                fate = "not_in_bid_terms"
-            elif self.deduplicate and signature in seen_signatures:
-                fate = "duplicate"
             else:
-                fate = "accepted"
-                seen_signatures.add(signature)
-                accepted.append(
-                    Rewrite(query=query, rewrite=candidate, score=score, rank=len(accepted) + 1)
-                )
+                signature = self._signature(candidate)
+                if bid_signatures is not None and signature not in bid_signatures:
+                    fate = "not_in_bid_terms"
+                elif self.deduplicate and signature in seen_signatures:
+                    fate = "duplicate"
+                else:
+                    fate = "accepted"
+                    seen_signatures.add(signature)
+                    accepted.append(
+                        Rewrite(query=query, rewrite=candidate, score=score, rank=len(accepted) + 1)
+                    )
             if collect_decisions:
                 decisions.append(
                     CandidateDecision(
@@ -243,8 +272,6 @@ class QueryRewriter:
                         rank=accepted[-1].rank if fate == "accepted" else None,
                     )
                 )
-            elif fate == "beyond_max_rewrites":
-                break
         return RewriteList(query=query, rewrites=accepted), decisions
 
     def rewrite_all(self, queries: Iterable[Node]) -> List[RewriteList]:

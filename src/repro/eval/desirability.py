@@ -52,8 +52,11 @@ def desirability(
     candidate_ads = graph.ads_of(candidate)
     if not candidate_ads:
         return 0.0
-    common = set(graph.ads_of(query)) & set(candidate_ads)
-    return sum(candidate_ads[ad].weight(source) for ad in common) / len(candidate_ads)
+    query_ads = graph.ads_of(query)
+    # Summed in the candidate's own ad order: a set intersection would make
+    # the float sum's last bits depend on the process's hash seed.
+    shared = (stats.weight(source) for ad, stats in candidate_ads.items() if ad in query_ads)
+    return sum(shared) / len(candidate_ads)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 Tables 1-4 and 6 are exact computations on the paper's small illustrative
 graphs; Table 5 and Figures 8-12 run the full harness on a synthetic
 Yahoo!-like workload (absolute numbers therefore differ from the paper, but
-the shapes -- which method wins, and by roughly how much -- should match; see
-EXPERIMENTS.md).
+the shapes -- which method wins, and by roughly how much -- should match).
 """
 
 from __future__ import annotations

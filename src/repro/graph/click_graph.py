@@ -318,16 +318,17 @@ class ClickGraph:
         """Induced subgraph on the given node subsets.
 
         When one side is omitted, all nodes on that side are kept; an edge
-        survives only if both endpoints survive.
+        survives only if both endpoints survive.  Nodes keep this graph's
+        insertion order, so the result never depends on set iteration order.
         """
         query_set = set(self._query_adj) if queries is None else set(queries)
         ad_set = set(self._ad_adj) if ads is None else set(ads)
         sub = ClickGraph()
-        for query in query_set:
-            if query in self._query_adj:
+        for query in self._query_adj:
+            if query in query_set:
                 sub.add_query(query)
-        for ad in ad_set:
-            if ad in self._ad_adj:
+        for ad in self._ad_adj:
+            if ad in ad_set:
                 sub.add_ad(ad)
         for query, ad, stats in self.edges():
             if query in query_set and ad in ad_set:

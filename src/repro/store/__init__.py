@@ -16,11 +16,10 @@ Two implementations of :class:`~repro.store.base.ServingStore`:
 
 :class:`~repro.store.sqlite.SqliteServingStore`
     A single-file SQLite database materialized at export time
-    (:meth:`RewriteEngine.export_store`): per-query rewrite lists are
-    ranked inside the storage engine with a window-function query and
-    served back with indexed point lookups, so resident memory is
-    O(serving cache), not O(nnz) -- click graphs bigger than serving RAM
-    become servable.
+    (:meth:`RewriteEngine.export_store`) from the engine's own filtered
+    rewrite lists and served back with indexed point lookups, so resident
+    memory is O(serving cache), not O(nnz) -- click graphs bigger than
+    serving RAM become servable.
 
 ``RewriteEngine.from_store(path)`` revives a serving-only engine from an
 exported store; it serves through the usual LRU cache but cannot ``fit`` /

@@ -1,27 +1,16 @@
-"""SQL-backed rewrite serving: materialized per-query top-k ranking tables.
+"""SQL-backed rewrite serving: materialized per-query top-k rewrite tables.
 
 The motivation (ROADMAP: "SQL-backed rewrite serving for stores bigger than
 RAM"): a fitted Simrank++ engine serves *static* per-query top-k rewrite
 lists, yet the snapshot path rehydrates the full CSR score matrix into
-resident memory just to answer point lookups.  This module pushes the
-ranking into the storage engine instead.  At export time
-(:func:`export_serving_store`, wired as ``RewriteEngine.export_store``) the
-fitted scores are spilled into SQLite and ranked *inside the database* with
-a window-function query::
-
-    ROW_NUMBER() OVER (
-        PARTITION BY query
-        ORDER BY score DESC, rewrite_repr ASC
-    )
-
-whose ordering is exactly the serving tie-break the in-memory path uses
-(``(-score, repr(node))`` -- see ``ArraySimilarityScores.top``), so the
-per-query candidate pools come out byte-identical.  The Section 9.3 filter
-pipeline (bid-term filtering, stemmed deduplication, the max-rewrites cap)
-then runs once per query over its ranked pool -- reusing the actual
-:class:`~repro.core.rewriter.QueryRewriter` so the filter semantics cannot
-drift -- and the surviving lists land in a ``rewrites`` table clustered on
-``(query, rank)``.
+resident memory just to answer point lookups.  This module materializes
+those lists instead.  At export time (:func:`export_serving_store`, wired
+as ``RewriteEngine.export_store``) the engine's own
+:class:`~repro.core.rewriter.QueryRewriter` computes every query's filtered
+list in memory -- the same top-k and Section 9.3 filter pipeline (bid-term
+filtering, stemmed deduplication, the max-rewrites cap) live serving runs,
+so the two cannot drift -- and the surviving rows land, in key order, in a
+``rewrites`` table clustered on ``(query, rank)``.
 
 Serving (:class:`SqliteServingStore`) is then an indexed point lookup per
 query: resident memory is O(connection + page cache + engine LRU cache),
@@ -49,7 +38,7 @@ import json
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.api.snapshot import _JSON_EXACT_NODE_TYPES
 from repro.api.staging import staged_write
@@ -64,9 +53,6 @@ PathLike = Union[str, Path]
 #: stores written under a different version instead of misreading them.
 STORE_FORMAT_VERSION = 1
 
-#: Rows per executemany batch while spilling raw scores.
-_INSERT_BATCH = 50_000
-
 _SCHEMA = """
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID;
 CREATE TABLE queries (
@@ -80,29 +66,6 @@ CREATE TABLE rewrites (
     score REAL NOT NULL,
     PRIMARY KEY (query, rank)
 ) WITHOUT ROWID;
-"""
-
-#: The ranking pushed into the storage engine.  ``ORDER BY score DESC,
-#: rewrite_repr ASC`` is byte-for-byte the in-memory tie-break: candidates
-#: sort by ``(-score, repr(node))``, and ``rewrite_repr`` stores exactly
-#: that ``repr`` (SQLite compares TEXT as UTF-8 bytes, which orders
-#: identically to Python's code-point string comparison).  ``score >
-#: :minimum`` mirrors the strict similarity floor of
-#: ``ArraySimilarityScores.top``; ``rank <= :pool`` keeps the paper's
-#: top-100 candidate pool per query.
-_RANK_CANDIDATES = """
-CREATE TABLE candidates AS
-SELECT query, rewrite, score, rank
-FROM (
-    SELECT query, rewrite, score,
-           ROW_NUMBER() OVER (
-               PARTITION BY query
-               ORDER BY score DESC, rewrite_repr ASC
-           ) AS rank
-    FROM raw_scores
-    WHERE score > :minimum
-)
-WHERE rank <= :pool
 """
 
 
@@ -124,57 +87,6 @@ def _decode_node(text: str) -> Node:
 # ------------------------------------------------------------------ exporting
 
 
-class _RankedCandidateSource:
-    """Adapter feeding SQL-ranked candidate pools to the filter pipeline.
-
-    Quacks like a fitted similarity method for the one call
-    :class:`QueryRewriter` makes (``top_rewrites``), but answers from the
-    ``candidates`` table the window-function query materialized -- so the
-    exported rewrite lists are produced by the *actual* Section 9.3
-    pipeline over the *database's* ranking, and any divergence between the
-    SQL ordering and the in-memory ordering would surface as a test
-    failure, not silent drift.
-    """
-
-    def __init__(self, connection: sqlite3.Connection) -> None:
-        self._connection = connection
-
-    def top_rewrites(
-        self, query: Node, k: int, minimum: float = 0.0
-    ) -> List[Tuple[Node, float]]:
-        rows = self._connection.execute(
-            "SELECT rewrite, score FROM candidates "
-            "WHERE query = ? AND rank <= ? ORDER BY rank",
-            (_encode_node(query), k),
-        )
-        return [(_decode_node(text), score) for text, score in rows]
-
-
-def _raw_score_rows(scores) -> Iterator[Tuple[str, str, str, float]]:
-    """Both directed orientations of every stored pair, ready to insert."""
-    for first, second, value in scores.pairs():
-        first_key = _encode_node(first)
-        second_key = _encode_node(second)
-        yield first_key, second_key, repr(second), value
-        yield second_key, first_key, repr(first), value
-
-
-def _insert_batched(connection: sqlite3.Connection, sql: str, rows) -> int:
-    """executemany in bounded batches; returns the number of rows inserted."""
-    total = 0
-    batch: list = []
-    for row in rows:
-        batch.append(row)
-        if len(batch) >= _INSERT_BATCH:
-            connection.executemany(sql, batch)
-            total += len(batch)
-            batch.clear()
-    if batch:
-        connection.executemany(sql, batch)
-        total += len(batch)
-    return total
-
-
 def export_serving_store(engine, path: PathLike) -> Path:
     """Materialize a fitted engine's serving lists into a SQLite store.
 
@@ -189,11 +101,22 @@ def export_serving_store(engine, path: PathLike) -> Path:
             "cannot export an unfitted engine to a serving store; call "
             ".fit(graph) or load a snapshot first"
         )
-    scores = engine.method.similarities()
     rewriter: QueryRewriter = engine._rewriter
     universe = engine._serving_universe()
     universe_keys = [(_encode_node(query), position)
                      for position, query in enumerate(universe)]
+    # Every query the store must answer: the precompute universe plus any
+    # score-index query outside it (an out-of-band restore can leave the
+    # score index larger than the recorded universe).
+    materialize = dict.fromkeys([*universe, *engine._score_store_queries()])
+    # The live filter pipeline's own lists, in clustered-key order so the
+    # rewrites B-tree is written front to back.
+    rows = sorted(
+        (_encode_node(query), accepted.rank,
+         _encode_node(accepted.rewrite), accepted.score)
+        for query in materialize
+        for accepted in rewriter.compute_rewrites(query).rewrites
+    )
 
     path = Path(path)
     with staged_write(path, directory=False, error=StoreError) as staging:
@@ -205,76 +128,23 @@ def export_serving_store(engine, path: PathLike) -> Path:
             connection.execute("PRAGMA journal_mode=OFF")
             connection.execute("PRAGMA synchronous=OFF")
             connection.executescript(_SCHEMA)
-            connection.execute(
-                "CREATE TABLE raw_scores ("
-                "query TEXT NOT NULL, rewrite TEXT NOT NULL, "
-                "rewrite_repr TEXT NOT NULL, score REAL NOT NULL)"
-            )
-            _insert_batched(
-                connection,
-                "INSERT INTO raw_scores VALUES (?, ?, ?, ?)",
-                _raw_score_rows(scores),
-            )
-            connection.execute(
-                _RANK_CANDIDATES,
-                {"minimum": rewriter.min_score, "pool": rewriter.candidate_pool},
-            )
-            connection.execute(
-                "CREATE INDEX candidates_by_query ON candidates (query, rank)"
-            )
-            # Every query the store must answer: the precompute universe
-            # plus any score-store query outside it (an out-of-band restore
-            # can leave the score index larger than the recorded universe).
-            materialize = dict(universe_keys)
-            for (key,) in connection.execute(
-                "SELECT DISTINCT query FROM candidates"
-            ).fetchall():
-                materialize.setdefault(key, len(materialize))
-            # The real filter pipeline over the database's ranking: same
-            # bid-term signatures, stemmed dedup and max-rewrites cap as
-            # live serving, fed by the window query's candidate pools.
-            pipeline = QueryRewriter(
-                _RankedCandidateSource(connection),
-                bid_terms=rewriter.bid_terms,
-                max_rewrites=rewriter.max_rewrites,
-                candidate_pool=rewriter.candidate_pool,
-                min_score=rewriter.min_score,
-                deduplicate=rewriter.deduplicate,
-            )
-            _insert_batched(
-                connection,
-                "INSERT INTO rewrites VALUES (?, ?, ?, ?)",
-                (
-                    (key, accepted.rank, _encode_node(accepted.rewrite),
-                     accepted.score)
-                    for key in materialize
-                    for accepted in pipeline.compute_rewrites(
-                        _decode_node(key)
-                    ).rewrites
-                ),
-            )
+            connection.executemany("INSERT INTO rewrites VALUES (?, ?, ?, ?)", rows)
             connection.executemany(
                 "INSERT INTO queries VALUES (?, ?)", universe_keys
             )
-            row_count = connection.execute(
-                "SELECT COUNT(*) FROM rewrites"
-            ).fetchone()[0]
             meta = {
                 "format_version": str(STORE_FORMAT_VERSION),
                 "store_version": "1",
                 "engine_config": json.dumps(engine.config.to_dict()),
                 "method": engine.config.method,
                 "num_queries": str(len(universe_keys)),
-                "num_rewrites": str(row_count),
+                "num_rewrites": str(len(rows)),
             }
             connection.executemany(
                 "INSERT INTO meta VALUES (?, ?)", sorted(meta.items())
             )
-            # The scratch tables dwarf the serving tables; drop and VACUUM
-            # so the published file holds only what lookups need.
-            connection.execute("DROP TABLE raw_scores")
-            connection.execute("DROP TABLE candidates")
             connection.commit()
+            # Compacts the pages the three B-trees left partly filled.
             connection.execute("VACUUM")
         finally:
             connection.close()

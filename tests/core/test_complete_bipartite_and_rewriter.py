@@ -1,7 +1,12 @@
 """Closed-form oracle checks (Appendices A/B) and query-rewriter pipeline tests."""
 
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+import repro.core.rewriter as rewriter_module
 from repro.core.complete_bipartite import (
     evidence_simrank_k12_score,
     evidence_simrank_k22_score,
@@ -10,11 +15,12 @@ from repro.core.complete_bipartite import (
     simrank_km2_scores,
 )
 from repro.core.config import SimrankConfig
-from repro.core.rewriter import QueryRewriter
+from repro.core.rewriter import CandidateDecision, QueryRewriter
 from repro.core.simrank import BipartiteSimrank
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.core.scores import SimilarityScores
-from repro.synth.scenarios import complete_bipartite_graph
+from repro.synth.scenarios import complete_bipartite_graph, multi_component_graph
+from repro.text.normalize import query_signature
 
 
 class TestClosedForms:
@@ -80,22 +86,24 @@ class _FixedScoresMethod(QuerySimilarityMethod):
         return SimilarityScores(self._pairs)
 
 
+def _camera_method():
+    return _FixedScoresMethod(
+        {
+            ("camera", "digital camera"): 0.9,
+            ("camera", "cameras"): 0.85,       # stem-duplicate of the query itself
+            ("camera", "photo printer"): 0.6,
+            ("camera", "unbid query"): 0.55,
+            ("camera", "tripod"): 0.5,
+            ("camera", "pc"): 0.4,
+        }
+    )
+
+
 class TestQueryRewriter:
-    def _method(self):
-        return _FixedScoresMethod(
-            {
-                ("camera", "digital camera"): 0.9,
-                ("camera", "cameras"): 0.85,       # stem-duplicate of the query itself
-                ("camera", "photo printer"): 0.6,
-                ("camera", "unbid query"): 0.55,
-                ("camera", "tripod"): 0.5,
-                ("camera", "pc"): 0.4,
-            }
-        )
 
     def test_pipeline_applies_dedup_bid_filter_and_cap(self, fig3_graph):
         bid_terms = {"digital camera", "photo printer", "tripod", "pc"}
-        rewriter = QueryRewriter(self._method(), bid_terms=bid_terms, max_rewrites=3)
+        rewriter = QueryRewriter(_camera_method(), bid_terms=bid_terms, max_rewrites=3)
         rewriter.fit(fig3_graph)
         rewrites = rewriter.rewrites_for("camera")
         assert rewrites.candidates() == ["digital camera", "photo printer", "tripod"]
@@ -105,28 +113,30 @@ class TestQueryRewriter:
         assert ranks == [1, 2, 3]
 
     def test_stemming_dedup_drops_query_variants(self, fig3_graph):
-        rewriter = QueryRewriter(self._method(), bid_terms=None, max_rewrites=5)
+        rewriter = QueryRewriter(_camera_method(), bid_terms=None, max_rewrites=5)
         rewriter.fit(fig3_graph)
         candidates = rewriter.rewrites_for("camera").candidates()
         assert "cameras" not in candidates
 
     def test_dedup_can_be_disabled(self, fig3_graph):
-        rewriter = QueryRewriter(self._method(), deduplicate=False)
+        rewriter = QueryRewriter(_camera_method(), deduplicate=False)
         rewriter.fit(fig3_graph)
         assert "cameras" in rewriter.rewrites_for("camera").candidates()
 
     def test_bid_filter_none_keeps_everything(self, fig3_graph):
-        rewriter = QueryRewriter(self._method(), bid_terms=None, max_rewrites=10, candidate_pool=10)
+        rewriter = QueryRewriter(
+            _camera_method(), bid_terms=None, max_rewrites=10, candidate_pool=10
+        )
         rewriter.fit(fig3_graph)
         assert "unbid query" in rewriter.rewrites_for("camera").candidates()
 
     def test_min_score_threshold(self, fig3_graph):
-        rewriter = QueryRewriter(self._method(), min_score=0.7)
+        rewriter = QueryRewriter(_camera_method(), min_score=0.7)
         rewriter.fit(fig3_graph)
         assert rewriter.rewrites_for("camera").candidates() == ["digital camera"]
 
     def test_coverage_and_depth_histogram(self, fig3_graph):
-        rewriter = QueryRewriter(self._method(), max_rewrites=5)
+        rewriter = QueryRewriter(_camera_method(), max_rewrites=5)
         rewriter.fit(fig3_graph)
         queries = ["camera", "query with no rewrites"]
         assert rewriter.coverage(queries) == pytest.approx(0.5)
@@ -136,9 +146,9 @@ class TestQueryRewriter:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            QueryRewriter(self._method(), max_rewrites=0)
+            QueryRewriter(_camera_method(), max_rewrites=0)
         with pytest.raises(ValueError):
-            QueryRewriter(self._method(), max_rewrites=10, candidate_pool=5)
+            QueryRewriter(_camera_method(), max_rewrites=10, candidate_pool=5)
 
     def test_integration_with_real_method(self, fig3_graph, paper_config):
         method = BipartiteSimrank(paper_config)
@@ -161,7 +171,7 @@ class TestQueryRewriter:
 
     def test_stats_share_one_topk_pass_per_query(self, fig3_graph):
         """Regression: coverage + depth_histogram used to rerun the top-k scan."""
-        rewriter = QueryRewriter(self._method(), max_rewrites=5).fit(fig3_graph)
+        rewriter = QueryRewriter(_camera_method(), max_rewrites=5).fit(fig3_graph)
         calls = self._count_top_rewrites(rewriter)
         queries = ["camera", "query with no rewrites", "camera"]
         rewriter.coverage(queries)
@@ -170,7 +180,7 @@ class TestQueryRewriter:
         assert calls["count"] == 2  # one scan per *unique* query, ever
 
     def test_clear_cache_and_refit_invalidate_the_memo(self, fig3_graph):
-        rewriter = QueryRewriter(self._method(), max_rewrites=5).fit(fig3_graph)
+        rewriter = QueryRewriter(_camera_method(), max_rewrites=5).fit(fig3_graph)
         calls = self._count_top_rewrites(rewriter)
         rewriter.rewrites_for("camera")
         rewriter.clear_cache()
@@ -180,7 +190,7 @@ class TestQueryRewriter:
     def test_bid_terms_match_stemming_and_casing_variants(self, fig3_graph):
         """Regression: the filter compared raw strings, dropping bid-term variants."""
         rewriter = QueryRewriter(
-            self._method(),
+            _camera_method(),
             bid_terms={"Digital Cameras", "PRINTER PHOTO", "tripods"},
             max_rewrites=5,
         ).fit(fig3_graph)
@@ -190,7 +200,7 @@ class TestQueryRewriter:
         assert candidates == ["digital camera", "photo printer", "tripod"]
 
     def test_bid_term_reassignment_refreshes_the_filter(self, fig3_graph):
-        rewriter = QueryRewriter(self._method(), bid_terms={"digital camera"}).fit(fig3_graph)
+        rewriter = QueryRewriter(_camera_method(), bid_terms={"digital camera"}).fit(fig3_graph)
         assert rewriter.rewrites_for("camera").candidates() == ["digital camera"]
         rewriter.bid_terms = {"tripod"}
         rewriter.clear_cache()
@@ -199,7 +209,7 @@ class TestQueryRewriter:
     def test_in_place_bid_term_mutation_refreshes_after_clear_cache(self, fig3_graph):
         """Regression: identity-based staleness missed in-place set mutations."""
         bid_terms = {"digital camera"}
-        rewriter = QueryRewriter(self._method(), bid_terms=bid_terms).fit(fig3_graph)
+        rewriter = QueryRewriter(_camera_method(), bid_terms=bid_terms).fit(fig3_graph)
         assert rewriter.rewrites_for("camera").candidates() == ["digital camera"]
         bid_terms.add("tripod")
         rewriter.clear_cache()
@@ -207,7 +217,7 @@ class TestQueryRewriter:
 
     def test_explain_candidates_traces_every_fate(self, fig3_graph):
         rewriter = QueryRewriter(
-            self._method(),
+            _camera_method(),
             bid_terms={"digital camera", "cameras", "photo printer", "tripod", "pc"},
             max_rewrites=3,
         ).fit(fig3_graph)
@@ -217,3 +227,95 @@ class TestQueryRewriter:
         assert decisions["cameras"].fate == "duplicate"  # stem-dup of the query
         assert decisions["unbid query"].fate == "not_in_bid_terms"
         assert decisions["pc"].fate == "beyond_max_rewrites"
+
+
+class TestStemOnce:
+    """The filter stems each score-index node once, and only when it must."""
+
+    @pytest.fixture
+    def stems(self, monkeypatch):
+        """Counts ``query_signature`` calls by argument."""
+        calls = Counter()
+        original = rewriter_module.query_signature
+
+        def counting(text):
+            calls[text] += 1
+            return original(text)
+
+        monkeypatch.setattr(rewriter_module, "query_signature", counting)
+        return calls
+
+    def _rewriter(self, fig3_graph, **options):
+        return QueryRewriter(_camera_method(), **options).fit(fig3_graph)
+
+    def test_each_node_is_stemmed_at_most_once(self, fig3_graph, stems):
+        rewriter = self._rewriter(fig3_graph, max_rewrites=5)
+        nodes = ["camera", "digital camera", "cameras", "photo printer", "tripod", "pc"]
+        for _ in range(3):
+            for node in nodes:
+                rewriter.compute_rewrites(node)
+        assert stems
+        assert max(stems.values()) == 1
+
+    def test_nothing_past_max_rewrites_is_stemmed(self, fig3_graph, stems):
+        rewriter = self._rewriter(fig3_graph, max_rewrites=2)
+        assert rewriter.compute_rewrites("camera").candidates() == [
+            "digital camera", "photo printer",
+        ]
+        # "cameras" is stemmed and dropped as a duplicate of the query; the
+        # candidates after the second acceptance are never looked at.
+        assert set(stems) == {"camera", "digital camera", "cameras", "photo printer"}
+
+    def test_explain_still_reports_every_candidate(self, fig3_graph, stems):
+        rewriter = self._rewriter(
+            fig3_graph,
+            bid_terms={"digital camera", "cameras", "photo printer", "tripod", "pc"},
+            max_rewrites=3,
+        )
+        assert rewriter.explain_candidates("camera") == [
+            CandidateDecision("digital camera", 0.9, "accepted", 1),
+            CandidateDecision("cameras", 0.85, "duplicate"),
+            CandidateDecision("photo printer", 0.6, "accepted", 2),
+            CandidateDecision("unbid query", 0.55, "not_in_bid_terms"),
+            CandidateDecision("tripod", 0.5, "accepted", 3),
+            CandidateDecision("pc", 0.4, "beyond_max_rewrites"),
+        ]
+
+    def test_unknown_queries_never_enter_the_memo(self, fig3_graph):
+        rewriter = self._rewriter(fig3_graph)
+        rewriter.compute_rewrites("camera")
+        size = len(rewriter._signatures)
+        for number in range(1000):
+            assert rewriter.compute_rewrites(f"unknown query {number}").rewrites == []
+        assert len(rewriter._signatures) == size
+
+    def test_clear_cache_empties_the_memo(self, fig3_graph):
+        rewriter = self._rewriter(fig3_graph)
+        rewriter.compute_rewrites("camera")
+        assert rewriter._signatures
+        rewriter.clear_cache()
+        assert rewriter._signatures == {}
+
+    @pytest.mark.timeout(60)
+    def test_concurrent_fills_agree_with_a_serial_pass(self):
+        graph = multi_component_graph(num_components=4, queries_per_component=12, seed=5)
+        rewriter = QueryRewriter(BipartiteSimrank(SimrankConfig(iterations=5))).fit(graph)
+        queries = list(graph.queries())
+        expected = [rewriter.compute_rewrites(query).as_tuples() for query in queries]
+        rewriter.clear_cache()
+
+        def serve_all():
+            return [rewriter.compute_rewrites(query).as_tuples() for query in queries]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(serve_all) for _ in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
+        assert rewriter._signatures == {
+            node: query_signature(node) for node in rewriter._signatures
+        }

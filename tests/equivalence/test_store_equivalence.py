@@ -4,10 +4,9 @@ The store layer's contract: for each SimRank backend (and each retired
 backend name, which resolves to ``sharded``) and each evidence mode, ``RewriteEngine.from_store(path)``
 serves *byte-identical* rewrite lists -- same rewrites, same ranks,
 bit-identical float64 scores -- to the fitted engine the store was
-exported from.  The window-function ranking inside SQLite (``ROW_NUMBER()
-OVER (... ORDER BY score DESC, repr ASC)``) must reproduce the in-memory
-``(-score, repr(node))`` tie-break exactly, and the equivalence must hold
-under a bounded LRU serving cache and after a full ``precompute()``.
+exported from.  The rows must come back from SQLite exactly as the engine
+computed them, and the equivalence must hold under a bounded LRU serving
+cache and after a full ``precompute()``.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sqlite3
 
 import pytest
@@ -9,12 +10,17 @@ import pytest
 from repro.api.config import EngineConfig
 from repro.api.engine import RewriteEngine
 from repro.core.config import SimrankConfig
+from repro.graph.click_graph import ClickGraph
 from repro.store import (
     STORE_FORMAT_VERSION,
     InMemoryServingStore,
     SqliteServingStore,
     StoreError,
 )
+from repro.synth.scenarios import equivalence_scenarios, multi_component_graph
+
+#: The scenario graphs of the store-equivalence sweep.
+SCENARIOS = equivalence_scenarios()
 
 
 def build_engine(graph, **config_kwargs):
@@ -139,8 +145,6 @@ class TestExport:
         assert not (tmp_path / "never.sqlite").exists()
 
     def test_unencodable_node_ids_fail_loudly(self, tmp_path):
-        from repro.graph.click_graph import ClickGraph
-
         graph = ClickGraph()
         graph.add_edge(("tuple", "query"), "ad", impressions=10, clicks=5)
         engine = RewriteEngine.from_graph(graph, EngineConfig()).fit()
@@ -173,6 +177,61 @@ class TestExport:
         assert served.serving_profile(queries) == engine.serving_profile(queries)
         with pytest.raises(KeyError):
             snapshots.materialize("unknown", tmp_path / "nope.sqlite")
+
+
+    def test_score_index_queries_outside_the_universe_are_exported(
+        self, small_weighted_graph, tmp_path
+    ):
+        """An out-of-band restore() can index queries the bound graph lacks:
+        the store answers them, but they stay out of the query universe."""
+        wider = small_weighted_graph.copy()
+        wider.add_edge("camera lens", "hp.com", impressions=300, clicks=30)
+        engine = build_engine(small_weighted_graph)
+        engine.method.restore(
+            build_engine(wider).method.similarities(), graph=small_weighted_graph
+        )
+        expected = engine._rewriter.compute_rewrites("camera lens").as_tuples()
+        assert expected
+
+        with SqliteServingStore(engine.export_store(tmp_path / "wider.sqlite")) as store:
+            assert store.rewrites("camera lens").as_tuples() == expected
+            assert "camera lens" not in store
+            assert store.queries() == engine._serving_universe()
+
+    def test_exported_file_is_compact(self, tmp_path):
+        graph = multi_component_graph(
+            num_components=10, queries_per_component=30, ads_per_component=20,
+            extra_edges=30, seed=41,
+        )
+        path = build_engine(graph).export_store(tmp_path / "compact.sqlite")
+        connection = sqlite3.connect(str(path))
+        try:
+            assert connection.execute("PRAGMA freelist_count").fetchone() == (0,)
+            (pages,) = connection.execute("PRAGMA page_count").fetchone()
+            connection.execute("VACUUM")
+            assert connection.execute("PRAGMA page_count").fetchone() == (pages,)
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_rows_are_the_engines_own_rewrite_lists(self, scenario, tmp_path):
+        engine = build_engine(SCENARIOS[scenario]())
+        store_path = engine.export_store(tmp_path / "rewrites.sqlite")
+        connection = sqlite3.connect(str(store_path))
+        rows = connection.execute(
+            "SELECT query, rank, rewrite, score FROM rewrites"
+        ).fetchall()
+        connection.close()
+        exported = {
+            (json.loads(query), rank, json.loads(rewrite), score)
+            for query, rank, rewrite, score in rows
+        }
+        assert len(exported) == len(rows)
+        assert exported == {
+            (query, rewrite.rank, rewrite.rewrite, rewrite.score)
+            for query in engine._serving_universe()
+            for rewrite in engine._rewriter.compute_rewrites(query).rewrites
+        }
 
 
 class TestInMemoryStore:
