@@ -52,24 +52,25 @@ affinity-aware via :func:`repro.core.parallel.available_cpu_count`, so
 cgroup-restricted containers are not oversubscribed.  ``executor=`` picks
 the pool flavour: ``"thread"`` (cheap, GIL-bound outside numpy),
 ``"process"`` (true multi-core: shards are batched into cost-balanced
-picklable payloads, warm-start seeds shipped per shard) or ``"auto"`` (the
+picklable payloads, the warm-start seed shipped once per batch) or ``"auto"`` (the
 default -- processes only when the estimated work amortises the fork/pickle
 overhead).  ``benchmarks/bench_sharded_backend.py`` gates ``n_jobs=4``
 process fitting at >= 2.5x a single-core fit on a many-component graph.
 
 The sharded backend serves scores through the array-backed
-:class:`~repro.core.scores_array.ArraySimilarityScores` store, which wraps
-the final score matrix directly instead of materializing millions of dict
-entries.
+:class:`~repro.core.scores_array.ArraySimilarityScores` store, which
+adopts each component's final dense score matrix as one block instead of
+materializing millions of dict entries.
 
 Snapshots and the serving cache
 -------------------------------
 
 The fit -> serve split survives process restarts: ``engine.save(path)``
-writes a versioned snapshot (the CSR score store via
-``scipy.sparse.save_npz`` plus a JSON manifest with the ``EngineConfig``,
-bid terms and fit metadata), and ``RewriteEngine.load(path)`` revives a
-servable engine *without refitting* -- identical rewrite lists, for every
+writes a versioned snapshot (the dense score blocks in one ``.npy`` array
+plus a JSON manifest with the ``EngineConfig``, bid terms and fit
+metadata; version-1 CSR snapshots still load), and
+``RewriteEngine.load(path)`` revives a servable engine *without
+refitting* -- identical rewrite lists, for every
 backend (the dict-backed ``reference`` store converts through
 ``SimilarityScores.to_array`` / ``from_array``).
 :class:`~repro.api.snapshot.EngineSnapshotStore` manages named snapshots

@@ -12,9 +12,20 @@ Snapshot layout (one directory)::
 
     <path>/
         manifest.json      format version, engine config, bid terms,
-                           query index, fit metadata (iterations_run, ...)
-        query_scores.npz   the symmetric CSR similarity matrix
-                           (scipy.sparse.save_npz)
+                           query index, fit metadata (iterations_run,
+                           block_sizes, ...)
+        query_scores.npy   the dense symmetric score blocks, one per
+                           component, raveled in block order into one
+                           array (numpy.save)
+
+The query index is the blocks' nodes in block order, and
+``fit.block_sizes`` gives each block's node count.  One plain ``.npy``
+array, not an ``.npz`` archive with one entry per block: each archive
+entry costs a Python-level zip read and header parse on load, which for
+many small components outweighs the scores themselves.  Version-1
+snapshots (one CSR matrix, its arrays stored in ``query_scores.npz``)
+still load with numpy alone, split into blocks by connected components of
+the stored pattern.
 
 Both backends snapshot through the same format: ``sharded`` already serves
 from an array-backed store
@@ -41,7 +52,7 @@ import shutil
 from pathlib import Path
 from typing import List, Union
 
-from scipy import sparse
+import numpy as np
 
 from repro.api.config import EngineConfig
 from repro.api.staging import staged_write
@@ -63,11 +74,13 @@ __all__ = [
 PathLike = Union[str, Path]
 
 #: Bumped whenever the on-disk layout changes incompatibly; readers reject
-#: snapshots written under a different version instead of misreading them.
-SNAPSHOT_FORMAT_VERSION = 1
+#: versions they do not know instead of misreading them.
+SNAPSHOT_FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, SNAPSHOT_FORMAT_VERSION)  # 1: one CSR matrix
 
 MANIFEST_FILENAME = "manifest.json"
-SCORES_FILENAME = "query_scores.npz"
+SCORES_FILENAME = "query_scores.npy"
+_V1_SCORES_FILENAME = "query_scores.npz"
 
 #: Node-id types that round-trip *exactly* through JSON.  Shared with the
 #: SQLite serving store (repro.store.sqlite), which has the same "node ids
@@ -186,6 +199,7 @@ def write_snapshot(engine, path: PathLike) -> Path:
             "iterations_run": _iterations_run(engine),
             "num_queries": len(index),
             "stored_pairs": len(array),
+            "block_sizes": [len(nodes) for _, nodes in array.blocks],
             # Coarse shape of the fitted graph: callers can compare it
             # against a candidate dataset to detect stale snapshots cheaply.
             "graph": fingerprint,
@@ -194,9 +208,9 @@ def write_snapshot(engine, path: PathLike) -> Path:
 
     def _maybe_corrupt(staging: Path) -> None:
         if faults.should_corrupt("snapshot.write"):
-            # Injected torn write: publish a snapshot whose score matrix was
+            # Injected torn write: publish a snapshot whose score blocks were
             # cut off mid-write.  The manifest stays valid -- the worst
-            # case, because only the (expensive) matrix load can notice.
+            # case, because only the (expensive) block load can notice.
             scores_file = staging / SCORES_FILENAME
             data = scores_file.read_bytes()
             scores_file.write_bytes(data[: max(1, len(data) // 2)])
@@ -207,11 +221,15 @@ def write_snapshot(engine, path: PathLike) -> Path:
     with staged_write(
         path, directory=True, error=SnapshotError, on_complete=_maybe_corrupt
     ) as staging:
-        # Stored uncompressed: inflating the arrays is most of a compressed
-        # load, and loading is the step snapshots exist to make cheap.
-        sparse.save_npz(staging / SCORES_FILENAME, array.matrix.tocsr(), compressed=False)
+        _write_blocks(staging / SCORES_FILENAME, array)
         (staging / MANIFEST_FILENAME).write_text(json.dumps(manifest, indent=2) + "\n")
     return path
+
+
+def _write_blocks(path: Path, array: ArraySimilarityScores) -> None:
+    """Every score block, raveled in block order into one ``.npy`` array."""
+    raveled = [matrix.ravel() for matrix, _ in array.blocks]
+    np.save(path, np.concatenate(raveled) if raveled else np.zeros(0))
 
 
 # ------------------------------------------------------------------- reading
@@ -243,10 +261,10 @@ def read_manifest(path: PathLike) -> dict:
             f"object, got {type(manifest).__name__}"
         )
     version = manifest.get("format_version")
-    if version != SNAPSHOT_FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise SnapshotError(
             f"snapshot at {path} has format version {version!r}; this build "
-            f"reads version {SNAPSHOT_FORMAT_VERSION}"
+            f"reads versions {', '.join(map(str, _READABLE_VERSIONS))}"
         )
     return manifest
 
@@ -270,9 +288,10 @@ def read_snapshot(path: PathLike, engine_cls=None):
     manifest = read_manifest(path)
     manifest_path = path / MANIFEST_FILENAME
 
-    scores_path = path / SCORES_FILENAME
+    version = manifest["format_version"]
+    scores_path = path / (_V1_SCORES_FILENAME if version == 1 else SCORES_FILENAME)
     if not scores_path.is_file():
-        raise SnapshotError(f"snapshot at {path} is missing {SCORES_FILENAME}")
+        raise SnapshotError(f"snapshot at {path} is missing {scores_path.name}")
     try:
         config = EngineConfig.from_dict(manifest["engine_config"])
         index = manifest["query_index"]
@@ -285,22 +304,21 @@ def read_snapshot(path: PathLike, engine_cls=None):
             f"snapshot manifest at {manifest_path} holds an invalid engine "
             f"config: {error}"
         ) from error
+    fit_metadata = manifest.get("fit", {})
     try:
-        # An open handle, closed here: load_npz on a path leaves the file
+        # An open handle, closed here: np.load on a path leaves the file
         # open when the archive is corrupt and the error propagates.
         with open(scores_path, "rb") as handle:
-            matrix = sparse.load_npz(handle).tocsr()
+            if version == 1:
+                with np.load(handle) as archive:
+                    array = _blocks_from_csr_archive(archive, index)
+            else:
+                raveled = np.load(handle)
+                array = _blocks_from_raveled(raveled, index, fit_metadata.get("block_sizes"))
     except Exception as error:
         raise SnapshotError(
             f"corrupt snapshot score matrix at {scores_path}: {error}"
         ) from error
-    try:
-        array = ArraySimilarityScores(matrix, index)
-    except (TypeError, ValueError) as error:
-        raise SnapshotError(
-            f"snapshot at {path} is internally inconsistent: {error}"
-        ) from error
-    fit_metadata = manifest.get("fit", {})
     scores = (
         SimilarityScores.from_array(array)
         if fit_metadata.get("store") == "dict"
@@ -331,6 +349,58 @@ def read_snapshot(path: PathLike, engine_cls=None):
     if iterations_run is not None and hasattr(engine.method, "iterations_run"):
         engine.method.iterations_run = iterations_run
     return engine
+
+
+def _blocks_from_raveled(raveled, index: list, block_sizes) -> ArraySimilarityScores:
+    """Version 2: the raveled blocks, cut and reshaped per ``fit.block_sizes``."""
+    if not isinstance(block_sizes, list) or sum(block_sizes) != len(index):
+        raise ValueError(f"block_sizes {block_sizes!r} do not partition {len(index)} queries")
+    if raveled.shape != (sum(size * size for size in block_sizes),):
+        raise ValueError(f"{raveled.shape} scores stored for blocks of {block_sizes}")
+    blocks, node, score = [], 0, 0
+    for size in block_sizes:
+        # Views into the one loaded array: no score is copied.
+        matrix = raveled[score:score + size * size].reshape(size, size)
+        blocks.append((matrix, index[node:node + size]))
+        node, score = node + size, score + size * size
+    return ArraySimilarityScores(blocks)
+
+
+def _blocks_from_csr_archive(archive, index: list) -> ArraySimilarityScores:
+    """Version 1: one symmetric CSR matrix, split into blocks.
+
+    Nodes are grouped by connected components of the stored pattern, which
+    is exactly the grouping that keeps every cross-block pair at zero.
+    """
+    shape, indptr, indices, data = (
+        archive[key] for key in ("shape", "indptr", "indices", "data")
+    )
+    n = len(index)
+    if shape.tolist() != [n, n]:
+        raise ValueError(f"matrix shape {shape.tolist()} does not match {n} nodes")
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    # Min-label propagation with pointer jumping: every node ends up
+    # labelled with the first row of its component.
+    label = np.arange(n)
+    while True:
+        lowest = label.copy()
+        np.minimum.at(lowest, rows, label[indices])
+        lowest = lowest[lowest]
+        if np.array_equal(lowest, label):
+            break
+        label = lowest
+    order = np.argsort(label, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if n else []
+    position = np.empty(n, dtype=np.int64)
+    blocks = []
+    for group in groups:
+        position[group] = np.arange(group.size)
+        block = np.zeros((group.size, group.size))
+        for row, node in enumerate(group.tolist()):
+            start, end = indptr[node], indptr[node + 1]
+            block[row, position[indices[start:end]]] = data[start:end]
+        blocks.append((block, [index[node] for node in group.tolist()]))
+    return ArraySimilarityScores(blocks)
 
 
 def warm_start_from_snapshot(path: PathLike, graph, engine_cls=None):

@@ -96,39 +96,34 @@ class SimilarityScores:
     # ------------------------------------------------------------- conversion
 
     def to_array(self) -> "ArraySimilarityScores":
-        """The same scores as an array-backed store (CSR matrix + node index).
+        """The same scores as an array-backed store (one dense block).
 
         This is how dict-backed results enter the engine-snapshot format
-        (:mod:`repro.api.snapshot`): the matrix carries the exact float
-        values in both directions, so serving reads off the converted store
-        are identical to reads off this one.
+        (:mod:`repro.api.snapshot`): the block spans every node, sorted by
+        ``repr``, and carries the exact float values in both directions, so
+        serving reads off the converted store are identical to reads off
+        this one.  Dict stores come from the reference engines, whose
+        graphs are small enough for one dense block.
         """
-        from scipy import sparse
+        import numpy as np
 
         from repro.core.scores_array import ArraySimilarityScores
 
         index = sorted(self._by_node, key=repr)
         position = {node: i for i, node in enumerate(index)}
-        rows: List[int] = []
-        columns: List[int] = []
-        data: List[float] = []
+        matrix = np.zeros((len(index), len(index)))
         for first, second, value in self.pairs():
             i, j = position[first], position[second]
-            rows.extend((i, j))
-            columns.extend((j, i))
-            data.extend((value, value))
-        matrix = sparse.csr_matrix(
-            (data, (rows, columns)), shape=(len(index), len(index))
-        )
-        return ArraySimilarityScores(matrix, index)
+            matrix[i, j] = matrix[j, i] = value
+        return ArraySimilarityScores([(matrix, index)])
 
     @classmethod
     def from_array(cls, scores: "ArraySimilarityScores") -> "SimilarityScores":
         """Dict-backed copy of an array-backed store (snapshot loading).
 
-        Pairs explicitly stored as zero do not survive the round trip (the
-        array store eliminates them at construction); every reader treats
-        missing and zero pairs identically, so no observable score changes.
+        Pairs explicitly stored as zero do not survive the round trip (a
+        zero array entry means "not stored"); every reader treats missing
+        and zero pairs identically, so no observable score changes.
         """
         clone = cls()
         for first, second, value in scores.pairs():

@@ -14,17 +14,17 @@ of every SimRank method.  It decomposes the click graph into connected
 components (:func:`repro.graph.components.connected_components`), fits the
 dense :class:`MatrixSimrank` kernel on each component's induced subgraph and
 stitches the per-component results into one
-:class:`~repro.core.scores_array.ArraySimilarityScores` by block-diagonal
-concatenation of the per-component score matrices (cross-component pairs
-provably score zero, which is exactly the block structure).  The dense work
-therefore shrinks from one ``n x n`` matrix to a block-diagonal family of
-``n_k x n_k`` blocks (``sum n_k = n``); on a single-component graph it is
-one dense fit.  ``benchmarks/bench_sharded_backend.py`` gates the speedup
-over a whole-graph dense fit.
+:class:`~repro.core.scores_array.ArraySimilarityScores` whose blocks are
+the per-component dense score matrices, adopted without a copy
+(cross-component pairs provably score zero, which is exactly the block
+structure).  The dense work therefore shrinks from one ``n x n`` matrix to
+a family of ``n_k x n_k`` blocks (``sum n_k = n``); on a single-component
+graph it is one dense fit.  ``benchmarks/bench_sharded_backend.py`` gates
+the speedup over a whole-graph dense fit.
 
 Isolated nodes (zero degree) can only self-score, so they are skipped
 entirely; ``query_similarity`` still returns 1 for the self-pair and 0
-elsewhere via the sparse score container.
+elsewhere via the block store's missing-pair default.
 
 Per-component fits are independent, so they can run on a worker pool:
 ``n_jobs > 1`` fits components on that many workers, ``n_jobs=-1`` uses one
@@ -33,9 +33,9 @@ worker per *available* CPU (affinity-aware, see
 ``executor``: ``"thread"`` shares the interpreter (cheap to start, but
 GIL-bound outside numpy's released-GIL regions), ``"process"`` fits shard
 batches in worker processes for true multi-core scaling (picklable payloads,
-warm-start seeds shipped per shard, batches balanced by estimated cost), and
-``"auto"`` -- the default -- picks processes only when the estimated work
-clearly exceeds the fork/pickle overhead.
+the warm-start seed shipped once per batch, batches balanced by estimated
+cost), and ``"auto"`` -- the default -- picks processes only when the
+estimated work clearly exceeds the fork/pickle overhead.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ class ShardedSimrank(QuerySimilarityMethod):
         self.reused_shards = len(components) - len(dirty)
         self.refitted_shards = len(dirty)
         dirty_graphs = [shard_graphs[shard_id] for shard_id in dirty]
-        fitted = self._fit_shards(dirty_graphs, _split_seed(seed, dirty_graphs))
+        fitted = self._fit_shards(dirty_graphs, seed)
         for shard_id, method in zip(dirty, fitted):
             methods[shard_id] = method
         self.iterations_run = max(
@@ -215,9 +215,9 @@ class ShardedSimrank(QuerySimilarityMethod):
                 self._query_shard[query] = shard_id
             for ad in subgraph.ads():
                 self._ad_shard[ad] = shard_id
-        # Components are node-disjoint, so the combined score matrix is the
-        # block-diagonal of the per-component matrices -- stitched without
-        # copying a single pair.
+        # Components are node-disjoint, so the combined store is just the
+        # per-component blocks side by side -- stitched without copying a
+        # single score.
         return ArraySimilarityScores.stitched(
             method.similarities() for method in self._shard_methods
         )
@@ -227,18 +227,16 @@ class ShardedSimrank(QuerySimilarityMethod):
         return MatrixSimrank(config=self.config, mode=self.mode, min_score=self.min_score)
 
     def _fit_shards(
-        self, subgraphs: List[ClickGraph], seeds: Optional[List] = None
+        self, subgraphs: List[ClickGraph], seed=None
     ) -> List[QuerySimilarityMethod]:
         """Fit one inner engine per component, serially or on a worker pool.
 
-        ``seeds`` optionally aligns one warm-start seed with each subgraph
-        (already restricted to that component by :func:`_split_seed`).  A
-        failing shard fit cancels the outstanding shard fits and re-raises
-        the first error in submission order; the caller restores the
-        pre-fit state.
+        ``seed`` is the optional warm-start store shared by every shard fit:
+        each inner fit reads only its own component's block from it (see
+        :func:`repro.core.warm_start.seed_dense`).  A failing shard fit
+        cancels the outstanding shard fits and re-raises the first error in
+        submission order; the caller restores the pre-fit state.
         """
-        if seeds is None:
-            seeds = [None] * len(subgraphs)
         methods = [self._build_inner(subgraph) for subgraph in subgraphs]
         workers = self._resolve_jobs(len(subgraphs))
         # One fault claim per shard, in shard order, *before* any work is
@@ -247,24 +245,20 @@ class ShardedSimrank(QuerySimilarityMethod):
         # across retries -- a consumed fault stays consumed).
         actions = [faults.claim("shard.fit") for _ in subgraphs]
         if workers <= 1 or len(subgraphs) <= 1:
-            for method, subgraph, seed, action in zip(
-                methods, subgraphs, seeds, actions
-            ):
+            for method, subgraph, action in zip(methods, subgraphs, actions):
                 if action is not None:
                     action.execute()
                 method.fit(subgraph, initial_scores=seed)
             return methods
         if self._resolve_executor(subgraphs, workers) == "process":
-            return self._fit_shards_process(
-                methods, subgraphs, seeds, workers, actions
-            )
-        return self._fit_shards_thread(methods, subgraphs, seeds, workers, actions)
+            return self._fit_shards_process(methods, subgraphs, seed, workers, actions)
+        return self._fit_shards_thread(methods, subgraphs, seed, workers, actions)
 
     def _fit_shards_thread(
         self,
         methods: List[QuerySimilarityMethod],
         subgraphs: List[ClickGraph],
-        seeds: List,
+        seed,
         workers: int,
         actions: List[Optional[faults.FaultAction]],
     ) -> List[QuerySimilarityMethod]:
@@ -272,9 +266,7 @@ class ShardedSimrank(QuerySimilarityMethod):
         try:
             futures = [
                 pool.submit(_fit_one_shard, method, subgraph, seed, action)
-                for method, subgraph, seed, action in zip(
-                    methods, subgraphs, seeds, actions
-                )
+                for method, subgraph, action in zip(methods, subgraphs, actions)
             ]
             # Stop at the first failure instead of draining the whole map:
             # queued sibling fits are cancelled, running ones are joined
@@ -291,7 +283,7 @@ class ShardedSimrank(QuerySimilarityMethod):
         self,
         methods: List[QuerySimilarityMethod],
         subgraphs: List[ClickGraph],
-        seeds: List,
+        seed,
         workers: int,
         actions: List[Optional[faults.FaultAction]],
     ) -> List[QuerySimilarityMethod]:
@@ -299,9 +291,10 @@ class ShardedSimrank(QuerySimilarityMethod):
 
         Shards are packed into at most ``workers`` cost-balanced batches
         (one pickled payload per batch amortises IPC) and each worker
-        rebuilds, fits and returns its engines; per-shard warm-start seeds
-        travel inside the payload.  The fitted engines replace the local
-        placeholders, so callers observe exactly the serial result.
+        rebuilds, fits and returns its engines; the warm-start seed travels
+        inside the payload (pickled once per batch).  The fitted engines
+        replace the local placeholders, so callers observe exactly the
+        serial result.
 
         Injected faults travel the same way: the parent claims them (the
         generic ``shard.fit`` ones handed in by the caller, plus the
@@ -320,7 +313,7 @@ class ShardedSimrank(QuerySimilarityMethod):
                     self.mode,
                     self.min_score,
                     subgraphs[i],
-                    seeds[i],
+                    seed,
                     tuple(
                         action
                         for action in (actions[i], worker_actions[i])
@@ -488,45 +481,6 @@ def _single_previous_shard(
         if shard is None or shard != candidate:
             return None
     return candidate
-
-
-def _split_seed(seed, subgraphs: List[ClickGraph]) -> Optional[List]:
-    """One warm-start seed per dirty component, sliced from the global seed.
-
-    Handing every inner fit the full stitched seed would make each of them
-    remap the *whole* previous score store (``_seed_triplets`` scans all
-    stored entries), turning a warm fit into O(dirty components x total
-    pairs).  An array-backed seed is instead partitioned here with one pass
-    over its index plus per-component row/column slices, so each inner fit
-    only ever touches its own component's scores.  Components with no seeded
-    node get ``None`` (a plain cold inner fit).  Dict-backed seeds pass
-    through whole: the reference store's per-pair lookups are already local.
-    """
-    if seed is None or not subgraphs:
-        return None
-    matrix = getattr(seed, "matrix", None)
-    index = getattr(seed, "index", None)
-    if matrix is None or index is None:
-        return [seed] * len(subgraphs)
-    shard_of: Dict[Node, int] = {}
-    for shard_id, subgraph in enumerate(subgraphs):
-        for query in subgraph.queries():  # seeds hold query-side scores only
-            shard_of[query] = shard_id
-    positions: List[List[int]] = [[] for _ in subgraphs]
-    nodes: List[List[Node]] = [[] for _ in subgraphs]
-    for position, node in enumerate(index):
-        shard_id = shard_of.get(node)
-        if shard_id is not None:
-            positions[shard_id].append(position)
-            nodes[shard_id].append(node)
-    seeds = []
-    for shard_id in range(len(subgraphs)):
-        if positions[shard_id]:
-            block = matrix[positions[shard_id]][:, positions[shard_id]]
-            seeds.append(ArraySimilarityScores(block.tocsr(), nodes[shard_id]))
-        else:
-            seeds.append(None)
-    return seeds
 
 
 def _component_unchanged(

@@ -33,54 +33,28 @@ from typing import Dict, Hashable, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.scores_array import ArraySimilarityScores
+
 __all__ = ["seed_dense", "seed_pair_scores"]
 
 Node = Hashable
 Pair = Tuple[Node, Node]
 
 
-def _seed_triplets(initial_scores, position: Dict[Node, int]):
-    """Stored score entries remapped into the new index as COO triplets.
-
-    Both directions of every surviving pair are returned (the stores are
-    symmetric).  Entries involving a node outside ``position`` are dropped.
-    """
-    matrix = getattr(initial_scores, "matrix", None)
-    old_index = getattr(initial_scores, "index", None)
-    if matrix is not None and old_index is not None:
-        # Array-backed store: vectorized remap of the CSR entries.
-        old_to_new = np.full(len(old_index), -1, dtype=np.int64)
-        for old_position, node in enumerate(old_index):
-            new_position = position.get(node)
-            if new_position is not None:
-                old_to_new[old_position] = new_position
-        coo = matrix.tocoo()
-        keep = (old_to_new[coo.row] >= 0) & (old_to_new[coo.col] >= 0)
-        return old_to_new[coo.row[keep]], old_to_new[coo.col[keep]], coo.data[keep]
-    rows = []
-    columns = []
-    data = []
-    for first, second, value in initial_scores.pairs():
-        i = position.get(first)
-        j = position.get(second)
-        if i is None or j is None:
-            continue
-        rows.extend((i, j))
-        columns.extend((j, i))
-        data.extend((value, value))
-    return (
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(columns, dtype=np.int64),
-        np.asarray(data, dtype=float),
-    )
-
-
 def seed_dense(initial_scores, index: Sequence[Node]) -> np.ndarray:
     """Dense similarity seed over ``index`` (unit diagonal, prior off-diagonals)."""
-    position = {node: i for i, node in enumerate(index)}
-    rows, columns, data = _seed_triplets(initial_scores, position)
-    seed = np.zeros((len(index), len(index)))
-    seed[rows, columns] = data
+    if isinstance(initial_scores, ArraySimilarityScores):
+        # Reads only the blocks holding a node of ``index``: a per-component
+        # seed never scans the other components' scores.
+        seed = initial_scores.submatrix(index)
+    else:
+        position = {node: i for i, node in enumerate(index)}
+        seed = np.zeros((len(index), len(index)))
+        for first, second, value in initial_scores.pairs():
+            i = position.get(first)
+            j = position.get(second)
+            if i is not None and j is not None:
+                seed[i, j] = seed[j, i] = value
     np.fill_diagonal(seed, 1.0)
     return seed
 

@@ -318,21 +318,27 @@ class ClickGraph:
         """Induced subgraph on the given node subsets.
 
         When one side is omitted, all nodes on that side are kept; an edge
-        survives only if both endpoints survive.  Nodes keep this graph's
-        insertion order, so the result never depends on set iteration order.
+        survives only if both endpoints survive.  Nodes and edges keep this
+        graph's insertion order, so the result never depends on set
+        iteration order.  Only the selected queries' adjacency is walked:
+        carving one component out of a many-component graph costs that
+        component's edges, not the whole graph's.
         """
         query_set = set(self._query_adj) if queries is None else set(queries)
         ad_set = set(self._ad_adj) if ads is None else set(ads)
+        selected = [query for query in self._query_adj if query in query_set]
         sub = ClickGraph()
-        for query in self._query_adj:
-            if query in query_set:
-                sub.add_query(query)
+        for query in selected:
+            sub.add_query(query)
         for ad in self._ad_adj:
             if ad in ad_set:
                 sub.add_ad(ad)
-        for query, ad, stats in self.edges():
-            if query in query_set and ad in ad_set:
-                sub.add_edge_stats(query, ad, stats)
+        # Query-major, each query's ads in adjacency order: exactly the
+        # order edges() yields them in, restricted to the selection.
+        for query in selected:
+            for ad, stats in self._query_adj[query].items():
+                if ad in ad_set:
+                    sub.add_edge_stats(query, ad, stats)
         return sub
 
     def without_edges(self, edges: Iterable[Tuple[Node, Node]]) -> "ClickGraph":

@@ -41,7 +41,9 @@ Endpoints (all request/response bodies are JSON):
     and the resilience ledger (publish failures, retries, breaker).
 
 Malformed framing (request line, ``Content-Length``, any
-``Transfer-Encoding``) is answered with 400 and ``Connection: close``.
+``Transfer-Encoding``) is answered with 400 and ``Connection: close``; so
+is a request line longer than the stream's line limit (64 KiB by default),
+while an over-long header line gets 431.
 
 Shutdown is graceful: :meth:`RewriteServer.stop` stops accepting, lets the
 in-flight requests finish (bounded by ``ServerConfig.drain_timeout_s``),
@@ -262,10 +264,20 @@ _REASONS = {
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """One line; past the stream's limit, ``readline`` raises a bare
+    ``ValueError`` that would escape the handler without any response."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _HttpError(status, f"{what} exceeds the server's line limit") from None
 
 
 @dataclass
@@ -524,7 +536,7 @@ class RewriteServer:
                 self._connections.pop(task, None)
 
     async def _read_request(self, reader: asyncio.StreamReader) -> Optional[_Request]:
-        line = await reader.readline()
+        line = await _read_line(reader, 400, "request line")
         if not line:
             return None
         try:
@@ -533,7 +545,7 @@ class RewriteServer:
             raise _HttpError(400, "malformed request line") from None
         headers: Dict[str, str] = {}
         while True:
-            header = await reader.readline()
+            header = await _read_line(reader, 431, "header line")
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")

@@ -2,7 +2,7 @@
 
 The motivation (ROADMAP: "SQL-backed rewrite serving for stores bigger than
 RAM"): a fitted Simrank++ engine serves *static* per-query top-k rewrite
-lists, yet the snapshot path rehydrates the full CSR score matrix into
+lists, yet the snapshot path rehydrates every dense score block into
 resident memory just to answer point lookups.  This module materializes
 those lists instead.  At export time (:func:`export_serving_store`, wired
 as ``RewriteEngine.export_store``) the engine's own

@@ -2,8 +2,11 @@
 
 import gc
 import json
+import shutil
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api.config import EngineConfig
@@ -336,13 +339,13 @@ class TestFailureModes:
             sorted(small_weighted_graph.queries())
         )
 
-        original_save_npz = snapshot_module.sparse.save_npz
+        original_write_blocks = snapshot_module._write_blocks
 
-        def poisoned_save_npz(file, matrix, **options):
-            original_save_npz(file, matrix, **options)  # scores written, then the crash
+        def poisoned_write_blocks(path, array):
+            original_write_blocks(path, array)  # scores written, then the crash
             raise RuntimeError("simulated crash before the manifest write")
 
-        monkeypatch.setattr(snapshot_module.sparse, "save_npz", poisoned_save_npz)
+        monkeypatch.setattr(snapshot_module, "_write_blocks", poisoned_write_blocks)
         with pytest.raises(RuntimeError):
             engine.save(tmp_path / "snap")
         monkeypatch.undo()
@@ -397,6 +400,142 @@ class TestFailureModes:
         engine.method.restore(bad_scores, graph=small_weighted_graph)
         with pytest.raises(SnapshotError):
             engine.save(tmp_path / "snap")
+
+
+V1_FIXTURE = Path(__file__).parent / "fixtures" / "small_weighted_v1"
+
+
+class TestFormatVersion2:
+    """One dense block per component, sized by the manifest's block_sizes."""
+
+    @pytest.fixture
+    def saved(self, small_weighted_graph, tmp_path):
+        engine = RewriteEngine.from_graph(
+            small_weighted_graph, EngineConfig(method="simrank")
+        ).fit()
+        return engine, engine.save(tmp_path / "snap")
+
+    def test_blocks_are_raveled_into_one_array(self, saved):
+        engine, path = saved
+        manifest = json.loads((path / MANIFEST_FILENAME).read_text())
+        blocks = engine.method.similarities().blocks
+        assert len(blocks) == 2
+        assert manifest["fit"]["block_sizes"] == [len(nodes) for _, nodes in blocks]
+        assert manifest["query_index"] == [node for _, nodes in blocks for node in nodes]
+        assert SCORES_FILENAME == "query_scores.npy"
+        assert np.array_equal(
+            np.load(path / SCORES_FILENAME),
+            np.concatenate([matrix.ravel() for matrix, _ in blocks]),
+        )
+        loaded = RewriteEngine.load(path).method.similarities()
+        for (mine, nodes), (theirs, their_nodes) in zip(loaded.blocks, blocks):
+            assert nodes == their_nodes
+            assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize(
+        "block_sizes",
+        [
+            "resplit",   # the same nodes cut into blocks of other shapes
+            "missing",   # no sizes at all
+            "short",     # sizes do not cover the query index
+            "long",      # sizes cover more than the query index
+            "invalid",   # not a list of sizes
+        ],
+    )
+    def test_block_sizes_mismatch_is_rejected(self, saved, block_sizes):
+        _, path = saved
+        manifest_path = path / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        sizes = manifest["fit"]["block_sizes"]
+        assert sizes == [4, 2]
+        manifest["fit"]["block_sizes"] = {
+            "resplit": [3, 3],
+            "short": [4],
+            "long": [4, 2, 1],
+            "invalid": "4,2",
+        }.get(block_sizes)
+        if block_sizes == "missing":
+            del manifest["fit"]["block_sizes"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError):
+            read_snapshot(path)
+
+    def test_truncated_scores_file_is_rejected(self, saved):
+        _, path = saved
+        scores = path / SCORES_FILENAME
+        data = scores.read_bytes()
+        for cut in (len(data) - 1, len(data) // 3, 10):
+            scores.write_bytes(data[:cut])
+            with pytest.raises(SnapshotError, match="corrupt snapshot score matrix"):
+                read_snapshot(path)
+
+
+class TestFormatVersion1:
+    """Snapshots written by the CSR-based format still load, with numpy alone.
+
+    The fixture was written by the version-1 writer (``scipy.sparse
+    .save_npz``) from a default-config engine fitted on
+    ``small_weighted_graph`` with bid terms camera, flower, laptop and pc.
+    """
+
+    @pytest.fixture
+    def fresh(self, small_weighted_graph):
+        return RewriteEngine.from_graph(
+            small_weighted_graph,
+            EngineConfig(),
+            bid_terms={"camera", "flower", "laptop", "pc"},
+        ).fit()
+
+    def test_fixture_is_version_1(self):
+        manifest = json.loads((V1_FIXTURE / MANIFEST_FILENAME).read_text())
+        assert manifest["format_version"] == 1
+        assert "block_sizes" not in manifest["fit"]
+
+    def test_loads_and_serves_byte_equal_to_a_fresh_fit(self, fresh, small_weighted_graph):
+        loaded = RewriteEngine.load(V1_FIXTURE)
+        assert loaded.config == fresh.config
+        assert loaded.bid_terms == fresh.bid_terms
+        assert loaded.method.similarities().max_difference(fresh.method.similarities()) == 0.0
+        queries = sorted(small_weighted_graph.queries())
+        assert json.dumps(loaded.serving_profile(queries)) == json.dumps(
+            fresh.serving_profile(queries)
+        )
+
+    def test_split_into_blocks_by_component(self):
+        scores = RewriteEngine.load(V1_FIXTURE).method.similarities()
+        assert [nodes for _, nodes in scores.blocks] == [
+            ["camera", "digital camera", "laptop", "pc"],
+            ["flower", "orchids"],
+        ]
+
+    def test_resave_writes_version_2(self, small_weighted_graph, tmp_path):
+        loaded = RewriteEngine.load(V1_FIXTURE)
+        path = loaded.save(tmp_path / "resaved")
+        manifest = json.loads((path / MANIFEST_FILENAME).read_text())
+        assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION == 2
+        assert manifest["fit"]["block_sizes"] == [4, 2]
+        queries = sorted(small_weighted_graph.queries())
+        assert RewriteEngine.load(path).serving_profile(queries) == loaded.serving_profile(
+            queries
+        )
+
+    def test_truncated_version_1_matrix_is_rejected(self, tmp_path):
+        path = tmp_path / "v1"
+        shutil.copytree(V1_FIXTURE, path)
+        scores = path / "query_scores.npz"  # the version-1 file name
+        scores.write_bytes(scores.read_bytes()[:-100])
+        with pytest.raises(SnapshotError, match="corrupt snapshot score matrix"):
+            read_snapshot(path)
+
+    def test_shape_mismatch_is_rejected(self, tmp_path):
+        path = tmp_path / "v1"
+        shutil.copytree(V1_FIXTURE, path)
+        manifest_path = path / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["query_index"] = manifest["query_index"][:-1]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="does not match"):
+            read_snapshot(path)
 
 
 class TestEngineSnapshotStore:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.core.scores import SimilarityScores
 from repro.core.scores_array import ArraySimilarityScores
@@ -133,7 +132,15 @@ class TestConstruction:
 
     def test_shape_index_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ArraySimilarityScores(sparse.csr_matrix((2, 2)), ["only-one"])
+            ArraySimilarityScores([(np.zeros((2, 2)), ["only-one"])])
+        with pytest.raises(ValueError):
+            ArraySimilarityScores([(np.zeros((2, 3)), ["a", "b"])])
+
+    def test_node_in_two_blocks_rejected(self):
+        with pytest.raises(ValueError, match="more than one block"):
+            ArraySimilarityScores(
+                [(np.zeros((1, 1)), ["a"]), (np.zeros((2, 2)), ["b", "a"])]
+            )
 
     def test_stitched_is_block_diagonal(self):
         first = make_store({("a", "b"): 0.5}, ["a", "b"])
@@ -142,47 +149,63 @@ class TestConstruction:
         assert combined.score("a", "b") == pytest.approx(0.5)
         assert combined.score("c", "d") == pytest.approx(0.3)
         assert combined.score("a", "c") == 0.0
+        assert combined.top("a", k=5) == [("b", 0.5)]
         assert len(combined) == 2
+        assert [nodes for _, nodes in combined.blocks] == [["a", "b"], ["c", "d"]]
+        assert combined.index == ["a", "b", "c", "d"]
+        # The blocks are adopted, not copied.
+        assert combined.blocks[0][0] is first.blocks[0][0]
 
     def test_stitched_of_nothing_is_empty(self):
         assert len(ArraySimilarityScores.stitched([])) == 0
 
 
-def explicit_zero_matrix():
-    """A symmetric CSR matrix storing one real pair and one *explicit* zero."""
-    rows = [0, 1, 0, 2]
-    columns = [1, 0, 2, 0]
-    data = [0.5, 0.5, 0.0, 0.0]
-    return sparse.csr_matrix((data, (rows, columns)), shape=(3, 3))
+def explicit_zero_block():
+    """A symmetric block holding one real pair; every other entry is zero."""
+    matrix = np.zeros((3, 3))
+    matrix[0, 1] = matrix[1, 0] = 0.5
+    return matrix, ["a", "b", "c"]
 
 
 class TestExplicitZeros:
     """Regression: nonzero_count boxed every pair through a Python loop.
 
-    Explicit zeros are now eliminated once at construction, so every count
-    (``len``, ``nonzero_count``) is a pure ``nnz`` read -- including through
-    the ``stitched`` and ``copy`` paths, which construct new stores.
+    A zero entry means "not stored": it is counted out once at
+    construction, so every count (``len``, ``nonzero_count``) is a pure
+    read -- including through the ``stitched`` and ``copy`` paths, which
+    construct new stores.
     """
 
     def test_constructor_eliminates_explicit_zeros(self):
-        store = ArraySimilarityScores(explicit_zero_matrix(), ["a", "b", "c"])
+        store = ArraySimilarityScores([explicit_zero_block()])
         assert store.nonzero_count() == 1
         assert len(store) == 1
         assert list(store.pairs()) == [("a", "b", 0.5)]
         assert store.score("a", "c") == 0.0
 
     def test_stitched_drops_explicit_zeros(self):
-        first = ArraySimilarityScores(explicit_zero_matrix(), ["a", "b", "c"])
+        first = ArraySimilarityScores([explicit_zero_block()])
         second = make_store({("d", "e"): 0.3}, ["d", "e"])
         combined = ArraySimilarityScores.stitched([first, second])
         assert combined.nonzero_count() == 2
         assert len(combined) == 2
 
     def test_copy_preserves_counts(self):
-        store = ArraySimilarityScores(explicit_zero_matrix(), ["a", "b", "c"])
+        store = ArraySimilarityScores([explicit_zero_block()])
         clone = store.copy()
         assert clone.nonzero_count() == store.nonzero_count() == 1
         assert clone.max_difference(store) == 0.0
+        assert clone.blocks[0][0] is not store.blocks[0][0]
+
+    def test_zero_entries_never_reach_top_or_neighbors(self):
+        store = ArraySimilarityScores([explicit_zero_block()])
+        assert store.neighbors("a") == {"b": 0.5}
+        assert store.neighbors("c") == {}
+        # A negative minimum must not turn zero ("not stored") entries into
+        # candidates.
+        assert store.top("a", k=5, minimum=-1.0) == [("b", 0.5)]
+        assert store.top("c", k=5, minimum=-1.0) == []
+        assert sorted(store.nodes()) == ["a", "b"]
 
     def test_nonzero_count_matches_dict_store_semantics(self, store, dict_store):
         assert store.nonzero_count() == dict_store.nonzero_count()
@@ -204,7 +227,59 @@ class TestDictArrayConversion:
         assert len(round_tripped) == len(dict_store)
         assert round_tripped.neighbors("q") == dict_store.neighbors("q")
 
+    def test_to_array_is_one_block_over_the_sorted_index(self, dict_store):
+        (matrix, nodes), = dict_store.to_array().blocks
+        assert nodes == ["q", "x", "y", "z"]
+        assert matrix.shape == (4, 4)
+        assert np.array_equal(matrix, matrix.T)
+        assert not matrix.diagonal().any()
+
     def test_empty_conversion(self):
         array = SimilarityScores().to_array()
         assert len(array) == 0
         assert len(SimilarityScores.from_array(array)) == 0
+
+
+class TestBlocks:
+    """Layout contracts the snapshot writer and the warm start rely on."""
+
+    @pytest.fixture
+    def two_blocks(self):
+        return ArraySimilarityScores.stitched(
+            [
+                make_store({("a", "b"): 0.5, ("a", "c"): 0.25, ("b", "c"): 0.125}, ["a", "b", "c"]),
+                make_store({("d", "e"): 0.75}, ["d", "e"]),
+            ]
+        )
+
+    def test_pairs_walk_blocks_in_order_row_major(self, two_blocks):
+        assert list(two_blocks.pairs()) == [
+            ("a", "b", 0.5),
+            ("a", "c", 0.25),
+            ("b", "c", 0.125),
+            ("d", "e", 0.75),
+        ]
+
+    def test_from_dense_mirrors_the_upper_triangle_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        raw = rng.random((6, 6))
+        # Symmetric only up to rounding, as a fixpoint iteration leaves it.
+        raw = raw + raw.T + rng.normal(scale=1e-15, size=(6, 6))
+        (matrix, _), = ArraySimilarityScores.from_dense(raw, list("abcdef")).blocks
+        assert np.array_equal(matrix, matrix.T)
+        upper = np.triu(raw, k=1)
+        assert np.array_equal(np.triu(matrix, k=1), upper)
+
+    def test_submatrix_reads_only_the_requested_nodes(self, two_blocks):
+        seed = two_blocks.submatrix(["e", "unknown", "a", "c", "d"])
+        expected = np.zeros((5, 5))
+        expected[0, 4] = expected[4, 0] = 0.75  # e-d
+        expected[2, 3] = expected[3, 2] = 0.25  # a-c
+        assert np.array_equal(seed, expected)
+
+    def test_max_difference_across_block_layouts(self, two_blocks):
+        # The same scores in a single block: the generic path must agree.
+        single = two_blocks.submatrix(two_blocks.index)
+        merged = ArraySimilarityScores([(single, two_blocks.index)])
+        assert two_blocks.max_difference(merged) == 0.0
+        assert merged.max_difference(two_blocks) == 0.0

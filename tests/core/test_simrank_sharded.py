@@ -120,7 +120,12 @@ class TestScores:
         method = ShardedSimrank(SimrankConfig(iterations=5)).fit(four_component_graph)
         scores = method.similarities()
         assert isinstance(scores, ArraySimilarityScores)
-        assert scores.matrix.shape == (len(scores.index), len(scores.index))
+        # One dense block per component, adopted from the shard fits.
+        assert len(scores.blocks) == method.num_shards
+        for (matrix, nodes), shard in zip(scores.blocks, method.shard_graphs()):
+            assert matrix.shape == (len(nodes), len(nodes))
+            assert set(nodes) <= set(shard.queries())
+        assert scores.index == [node for _, nodes in scores.blocks for node in nodes]
 
     def test_cross_component_pairs_score_zero(self, four_component_graph):
         method = ShardedSimrank(SimrankConfig(iterations=5)).fit(four_component_graph)

@@ -117,12 +117,12 @@ def test_dict_backed_seed_is_accepted(engine):
     """A reference fit's dict-backed store seeds the array engines too.
 
     This is the cross-backend warm-start path (e.g. seeding a sharded refit
-    from a snapshot of a reference engine): ``_seed_triplets`` falls back to
-    the ``pairs()`` protocol when the store has no matrix/index.
+    from a snapshot of a reference engine): ``seed_dense`` falls back to
+    the ``pairs()`` protocol when the store has no blocks.
     """
     old, new = perturbed_pair()
     previous = create("simrank", config=CONVERGED, backend="reference").fit(old)
-    assert not hasattr(previous.similarities(), "matrix")
+    assert not hasattr(previous.similarities(), "blocks")
 
     cold = build(engine, "simrank").fit(new)
     warm = build(engine, "simrank")

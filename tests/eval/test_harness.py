@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.snapshot import SCORES_FILENAME
 from repro.core.config import SimrankConfig
 from repro.eval.harness import RELEVANCE_THRESHOLDS, ExperimentHarness
 
@@ -272,7 +273,7 @@ class TestHarnessOptions:
         )
         ExperimentHarness(save_engines_to=snapshot_dir, **kwargs).run()
         # Damage the score matrix but keep the (matching) manifest intact.
-        (snapshot_dir / "weighted_simrank-sharded" / "query_scores.npz").write_bytes(
+        (snapshot_dir / "weighted_simrank-sharded" / SCORES_FILENAME).write_bytes(
             b"damaged"
         )
         harness = ExperimentHarness(load_engines_from=snapshot_dir, **kwargs)

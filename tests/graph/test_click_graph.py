@@ -1,6 +1,7 @@
 """Unit tests for the click graph data structure."""
 
 import math
+import random
 
 import pytest
 
@@ -112,6 +113,40 @@ class TestClickGraphBasics:
         assert small_weighted_graph.total_impressions() > small_weighted_graph.total_clicks()
 
 
+def random_click_graph(rng):
+    """A random multi-component click graph with shuffled insertion order."""
+    graph = ClickGraph()
+    num_queries, num_ads = rng.randint(1, 25), rng.randint(1, 15)
+    edges = [
+        (f"q{rng.randrange(num_queries)}", f"a{rng.randrange(num_ads)}")
+        for _ in range(rng.randint(0, 60))
+    ]
+    for query, ad in edges:
+        impressions = rng.randint(1, 100)
+        graph.add_edge(query, ad, impressions=impressions, clicks=rng.randint(0, impressions))
+    for _ in range(rng.randint(0, 3)):  # isolated nodes
+        graph.add_query(f"lonely-q{rng.randrange(100)}")
+        graph.add_ad(f"lonely-a{rng.randrange(100)}")
+    return graph
+
+
+def brute_force_subgraph(graph, queries, ads):
+    """Induced subgraph by filtering every node and every edge of the parent."""
+    query_set = set(graph.queries()) if queries is None else set(queries)
+    ad_set = set(graph.ads()) if ads is None else set(ads)
+    sub = ClickGraph()
+    for query in graph.queries():
+        if query in query_set:
+            sub.add_query(query)
+    for ad in graph.ads():
+        if ad in ad_set:
+            sub.add_ad(ad)
+    for query, ad, stats in graph.edges():
+        if query in query_set and ad in ad_set:
+            sub.add_edge_stats(query, ad, stats)
+    return sub
+
+
 class TestClickGraphDerivation:
     def test_copy_is_equal_but_independent(self, fig3_graph):
         clone = fig3_graph.copy()
@@ -128,6 +163,38 @@ class TestClickGraphDerivation:
 
     def test_subgraph_defaults_keep_everything(self, fig3_graph):
         assert fig3_graph.subgraph() == fig3_graph
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_subgraph_matches_brute_force_order_and_content(self, seed):
+        """Node order, edge order, adjacency order and stats objects all match
+        an induced subgraph built by filtering every parent edge."""
+        rng = random.Random(seed)
+        graph = random_click_graph(rng)
+        queries = list(graph.queries()) + ["unknown-query"]
+        ads = list(graph.ads()) + ["unknown-ad"]
+        selections = [
+            (None, None),
+            (rng.sample(queries, rng.randint(0, len(queries))), None),
+            (None, rng.sample(ads, rng.randint(0, len(ads)))),
+            (
+                rng.sample(queries, rng.randint(0, len(queries))),
+                rng.sample(ads, rng.randint(0, len(ads))),
+            ),
+        ]
+        for selected_queries, selected_ads in selections:
+            sub = graph.subgraph(queries=selected_queries, ads=selected_ads)
+            expected = brute_force_subgraph(graph, selected_queries, selected_ads)
+            assert sub == expected
+            assert list(sub.queries()) == list(expected.queries())
+            assert list(sub.ads()) == list(expected.ads())
+            assert [(q, a) for q, a, _ in sub.edges()] == [
+                (q, a) for q, a, _ in expected.edges()
+            ]
+            for (_, _, stats), (_, _, reference) in zip(sub.edges(), expected.edges()):
+                assert stats is reference
+            for ad in expected.ads():
+                assert list(sub.queries_of(ad)) == list(expected.queries_of(ad))
+            assert sub.total_clicks() == expected.total_clicks()
 
     def test_without_edges(self, fig3_graph):
         pruned = fig3_graph.without_edges([("camera", "hp.com"), ("unknown", "x")])

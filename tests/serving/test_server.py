@@ -332,6 +332,47 @@ class TestFraming:
             assert rest == b"", f"{name}: exactly one response, then close"
         assert stats["requests"]["by_status"]["400"] == len(self.MALFORMED)
 
+    # Both past asyncio's default 64 KiB StreamReader line limit.
+    OVERSIZED = {
+        "request line": (
+            b"POST /" + b"x" * 70_000 + b" HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+            400,
+            "request line",
+        ),
+        "header line": (
+            b"GET /healthz HTTP/1.1\r\nX-Padding: " + b"x" * 70_000 + b"\r\n\r\n",
+            431,
+            "header line",
+        ),
+    }
+
+    def test_oversized_lines_get_a_counted_4xx_and_close(self, engine):
+        """Regression: an over-long line raised ValueError out of the
+        connection handler (reported to the loop, no response at all)."""
+
+        async def scenario():
+            async with RewriteServer(EngineHolder(engine)) as server:
+                host, port = server.address
+                replies = {
+                    name: await raw_exchange(host, port, data)
+                    for name, (data, _, _) in self.OVERSIZED.items()
+                }
+                # The server still serves normally afterwards.
+                health = await request_once(host, port, "GET", "/healthz")
+                _, stats = await request_once(host, port, "GET", "/stats")
+                return replies, health, stats
+
+        replies, (health_status, _), stats = run_strict(scenario)
+        for name, (_, expected_status, mentions) in self.OVERSIZED.items():
+            status, headers, payload, rest = replies[name]
+            assert status == expected_status, name
+            assert headers["connection"] == "close", name
+            assert mentions in payload["error"], name
+            assert rest == b"", f"{name}: exactly one response, then close"
+        assert health_status == 200
+        assert stats["requests"]["by_status"]["400"] == 1
+        assert stats["requests"]["by_status"]["431"] == 1
+
 
 class TestAdmission:
     def test_request_past_queue_size_is_shed_with_503(self, engine):
