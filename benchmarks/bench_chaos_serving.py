@@ -76,7 +76,7 @@ ZIPF_ALPHA = 1.2
 MIN_REFRESH_ROUNDS = 3
 MAX_REFRESH_ROUNDS = 40
 
-#: Tolerance-converged so /refresh warm-starts instead of refitting cold.
+#: Tolerance-converged: the early exit bounds each /refresh refit's work.
 SIMILARITY = SimrankConfig(iterations=60, tolerance=1e-8, zero_evidence_floor=0.1)
 
 GRAPH_PARAMS = dict(

@@ -3,22 +3,19 @@
 Production click graphs change continuously, but the paper's offline
 pipeline refits the whole SimRank fixpoint per change.  The claim this
 benchmark gates: ``RewriteEngine.refresh(delta)`` -- apply the delta,
-warm-start refit, selectively invalidate the serving cache -- must be at
-least **5x faster** than a cold refit on the updated graph, for a delta
-touching at most 10% of the graph's components, with the component-sharded
-backend (dirty components are refit warm-started, untouched components are
-reused verbatim).
+refit, selectively invalidate the serving cache -- must be at least **5x
+faster** than a cold refit on the updated graph, for a delta touching at
+most 10% of the graph's components, with the component-sharded backend
+(dirty components are refit cold, untouched components are reused
+verbatim).
 
 A fast wrong answer must not pass, so before the speed gate the refreshed
 engine is checked against a from-scratch fit on the updated graph:
 
-* score agreement: every query-pair score within 1e-6;
+* score agreement: every query-pair score within 1e-6 -- and, since a
+  refresh computes exactly what a cold fit computes, identical;
 * serving-profile equality: the same ranked rows over a traffic sample with
-  scores within 1e-6.  Both fits are tolerance-converged approximations of
-  the same fixpoint, so bit-identical floats are not attainable, and
-  candidates whose exact fixpoint scores tie (symmetric graph positions)
-  may swap ranks between two converged fits -- ``profiles_match`` treats a
-  swap as equal only when the scores at that rank tie within 1e-6.
+  scores within 1e-6 (``profiles_match``) -- and byte-equal rows.
 
 The run writes ``BENCH_engine_refresh.json`` next to this file.
 
@@ -46,9 +43,8 @@ BACKENDS = ["sharded"]
 SERVING_QUERIES = 200
 SCORE_TOLERANCE = 1e-6
 
-#: Tolerance-converged so the warm start can exit early and cold/warm fits
-#: agree at the shared fixpoint; iterations is just headroom for the cold
-#: identity start to converge.
+#: Tolerance-converged: iterations is headroom for the identity start to
+#: converge, and the tolerance exits early once it has.
 SIMILARITY = SimrankConfig(iterations=150, tolerance=1e-8, zero_evidence_floor=0.1)
 
 #: A 3300-node scenario with components large enough that the per-component
@@ -160,9 +156,8 @@ def measure(backend, refresh_rounds=2, refit_rounds=2) -> dict:
     score_disagreement = refreshed.method.similarities().max_difference(
         fresh.method.similarities()
     )
-    equal_serving = profiles_match(
-        refreshed.serving_profile(queries), fresh.serving_profile(queries)
-    )
+    refreshed_profile = refreshed.serving_profile(queries)
+    fresh_profile = fresh.serving_profile(queries)
     method = refreshed.method
     return {
         "backend": backend,
@@ -181,7 +176,8 @@ def measure(backend, refresh_rounds=2, refit_rounds=2) -> dict:
         "affected_queries": refreshed.last_refresh.affected_queries,
         "score_disagreement": score_disagreement,
         "serving_queries": len(queries),
-        "equal_serving": equal_serving,
+        "equal_serving": profiles_match(refreshed_profile, fresh_profile),
+        "identical_serving": refreshed_profile == fresh_profile,
     }
 
 
@@ -232,6 +228,15 @@ def test_refresh_is_at_least_5x_faster_than_cold_refit():
             f"{row['backend']}: refreshed serving profile differs from a "
             "from-scratch fit"
         )
+        # ... and exactly: a refresh serves what a cold fit serves.
+        assert row["score_disagreement"] == 0.0, (
+            f"{row['backend']}: refreshed scores are not identical to a "
+            f"from-scratch fit ({row['score_disagreement']:.2e})"
+        )
+        assert row["identical_serving"], (
+            f"{row['backend']}: refreshed serving profile is not byte-equal "
+            "to a from-scratch fit"
+        )
     assert gated["speedup"] >= SPEEDUP_FLOOR, (
         f"refresh only {gated['speedup']:.1f}x faster than a cold refit "
         f"(floor: {SPEEDUP_FLOOR}x)"
@@ -246,7 +251,8 @@ def main() -> None:
             f"{row['backend']:>8}: cold {row['cold_refit_seconds'] * 1000:8.1f} ms, "
             f"refresh {row['refresh_seconds'] * 1000:7.1f} ms "
             f"({row['speedup']:5.1f}x), score diff {row['score_disagreement']:.1e}, "
-            f"equal_serving={row['equal_serving']}"
+            f"equal_serving={row['equal_serving']}, "
+            f"identical_serving={row['identical_serving']}"
         )
     print(f"wrote {ARTIFACT_PATH}")
 

@@ -53,7 +53,7 @@ from repro.synth.scenarios import multi_component_graph
 DEGRADATION_FACTOR = 3.0
 #: Ratio floor: below this baseline p99 the 3x bound is measured against
 #: this absolute value instead.  On a fast machine the no-refresh baseline
-#: is a few milliseconds while a warm refit's GIL burst is a fixed ~10+ ms
+#: is a few milliseconds while a refit's GIL burst is a fixed ~10+ ms
 #: that no amount of serving speed shrinks -- the floor keeps the gate
 #: about the zero-downtime claim, not about the GIL.
 MIN_BASELINE_P99_MS = 8.0
@@ -66,11 +66,11 @@ REQUESTS_PER_PHASE = 1200
 CONCURRENCY = 8
 ZIPF_ALPHA = 1.2
 
-#: Tolerance-converged so /refresh warm-starts instead of refitting cold.
+#: Tolerance-converged: the early exit bounds each /refresh refit's work.
 SIMILARITY = SimrankConfig(iterations=60, tolerance=1e-8, zero_evidence_floor=0.1)
 
 #: ~300 nodes over 6 components: big enough that a refresh takes real work
-#: (so swaps overlap traffic), small enough that one warm refit's GIL
+#: (so swaps overlap traffic), small enough that one refit's GIL
 #: burst stays well inside the latency bound.
 GRAPH_PARAMS = dict(
     num_components=6,

@@ -40,13 +40,14 @@ Incremental refresh
 -------------------
 
 When the click graph moves under a fitted engine (new queries, shifting
-click counts), ``engine.refresh(delta)`` brings it forward without a cold
-refit: record the changes with :class:`~repro.graph.delta.DeltaBuilder` (or
-diff two graphs with ``ClickGraphDelta.between``), and the engine applies
-them, refits warm-started from its current scores -- the sharded backend
-refits only the touched components -- and invalidates only the cached
-rewrite lists that could have changed (the CI-gated claim of
-``benchmarks/bench_engine_refresh.py``).
+click counts), ``engine.refresh(delta)`` brings it forward without refitting
+the whole graph: record the changes with
+:class:`~repro.graph.delta.DeltaBuilder` (or diff two graphs with
+``ClickGraphDelta.between``), and the engine applies them, refits only the
+touched components (cold; the sharded backend reuses the rest verbatim) and
+invalidates only the cached rewrite lists that could have changed (the
+CI-gated claim of ``benchmarks/bench_engine_refresh.py``).  The refreshed
+engine serves exactly what a cold fit of the updated graph serves.
 
 Serving resilience, degraded mode and fault injection
 -----------------------------------------------------
@@ -203,9 +204,8 @@ def main() -> None:
     )
 
     # Incremental refresh: the click graph moves (a camera ad gets hot, a
-    # stale flower edge ages out), and the fitted engine follows without a
-    # cold refit.  Tolerance-based early exit is what lets the warm-started
-    # fixpoint stop after a couple of iterations.
+    # stale flower edge ages out), and the fitted engine follows by
+    # refitting only the components the delta touched.
     live = RewriteEngine.from_graph(
         graph.copy(),
         config.replace(

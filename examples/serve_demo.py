@@ -34,7 +34,7 @@ from repro.serving import (
 
 
 def fit_offline() -> RewriteEngine:
-    """Step 1: the offline batch fit (tolerance > 0 so /refresh warm-starts)."""
+    """Step 1: the offline batch fit (/refresh later refits only what changed)."""
     workload = yahoo_like_workload("tiny", seed=29)
     config = EngineConfig(
         method="weighted_simrank",

@@ -52,9 +52,8 @@ affinity-aware via :func:`repro.core.parallel.available_cpu_count`, so
 cgroup-restricted containers are not oversubscribed.  ``executor=`` picks
 the pool flavour: ``"thread"`` (cheap, GIL-bound outside numpy),
 ``"process"`` (true multi-core: shards are batched into cost-balanced
-picklable payloads, the warm-start seed shipped once per batch) or ``"auto"`` (the
-default -- processes only when the estimated work amortises the fork/pickle
-overhead).  ``benchmarks/bench_sharded_backend.py`` gates ``n_jobs=4``
+picklable payloads) or ``"auto"`` (the default -- processes only when the
+estimated work amortises the fork/pickle overhead).  ``benchmarks/bench_sharded_backend.py`` gates ``n_jobs=4``
 process fitting at >= 2.5x a single-core fit on a many-component graph.
 
 The sharded backend serves scores through the array-backed
@@ -87,13 +86,12 @@ cold path.  ``engine.refresh(delta)`` takes a
 :class:`~repro.graph.delta.ClickGraphDelta` (captured with
 ``ClickGraphDelta.between(old, new)`` or recorded with
 :class:`~repro.graph.delta.DeltaBuilder`), applies it to the bound graph,
-refits warm-started from the current scores -- the sharded backend refits
-*only* the components an edge change touched and reuses the rest verbatim
--- and invalidates only the cached rewrite lists whose results could have
-changed.  Snapshots double as warm-start seeds:
-:func:`~repro.api.snapshot.warm_start_from_snapshot` (or
-``RewriteEngine.load(path).fit(graph, warm_start=True)``) refits a revived
-engine on a moved graph in a handful of iterations.
+refits -- the sharded backend refits *only* the components an edge change
+touched, cold, and reuses the rest verbatim -- and invalidates only the
+cached rewrite lists whose results could have changed.  The refreshed
+engine serves exactly what a cold fit of the updated graph serves.  A
+snapshot carries no shard state, so ``RewriteEngine.load(path).fit(graph)``
+is a cold fit.
 ``benchmarks/bench_engine_refresh.py`` gates refresh at >= 5x faster than
 a cold refit on a delta touching <= 10% of components.
 
@@ -144,7 +142,6 @@ from repro.api.snapshot import (
     EngineSnapshotStore,
     SnapshotError,
     read_snapshot,
-    warm_start_from_snapshot,
     write_snapshot,
 )
 from repro.api.sources import ResolvedEngine, resolve_engine_source
@@ -162,7 +159,6 @@ __all__ = [
     "EngineSnapshotStore",
     "SnapshotError",
     "read_snapshot",
-    "warm_start_from_snapshot",
     "write_snapshot",
     "PAPER_METHODS",
     "SIMRANK_BACKENDS",

@@ -35,9 +35,11 @@ engine and re-export instead.
 
 The fit also survives *graph change*: ``engine.refresh(delta)`` applies a
 :class:`~repro.graph.delta.ClickGraphDelta` to the bound graph, refits
-warm-started from the current scores and invalidates only the cache
-entries whose rewrites could differ -- the incremental path for click
-graphs that shift continuously under serving traffic.
+(the sharded backend reuses every untouched component and refits the rest
+cold) and invalidates only the cache entries whose rewrites could differ
+-- the incremental path for click graphs that shift continuously under
+serving traffic.  A refreshed engine serves exactly what a cold fit of the
+same graph serves.
 
 Thread-safety contract
 ----------------------
@@ -113,18 +115,13 @@ class RefreshInfo:
     actually cached and got dropped.  Invalidations are not evictions --
     ``CacheInfo.evictions`` still counts only capacity-driven drops.  A
     no-op (empty) delta skips the refit entirely: ``refit`` is False and
-    every cached entry survives.  ``warm_started`` reports whether the
-    refit was seeded with the previous scores; it is False when
-    ``SimrankConfig.tolerance`` is 0, where the fixpoint is defined as
-    exactly ``iterations`` steps from the identity and a seeded
-    continuation would compute a different (further-converged) result.
+    every cached entry survives.
     """
 
     changes: int
     affected_queries: int
     invalidated_entries: int
     refit: bool
-    warm_started: bool = False
 
 
 @dataclass(frozen=True)
@@ -270,43 +267,16 @@ class RewriteEngine:
         """The store a :meth:`from_store` engine serves from (else ``None``)."""
         return self._store
 
-    def fit(
-        self, graph: Optional[ClickGraph] = None, warm_start: bool = False
-    ) -> "RewriteEngine":
+    def fit(self, graph: Optional[ClickGraph] = None) -> "RewriteEngine":
         """Run the offline analytics step: fit the similarity method.
 
         Fits on ``graph`` when given, otherwise on the graph bound by
-        :meth:`from_graph`.  Clears the serving cache.
-
-        With ``warm_start=True`` the method's current query scores -- a
-        previous fit's, or the store a snapshot :meth:`load` restored --
-        seed the fixpoint iteration instead of the identity start, so a fit
-        on a mildly changed graph converges in far fewer iterations (pair
-        it with a positive ``SimrankConfig.tolerance``; see
-        :meth:`~repro.core.similarity_base.QuerySimilarityMethod.fit`).
-        This is how a snapshot doubles as a warm-start seed::
-
-            engine = RewriteEngine.load("engines/two-week-weighted")
-            engine.fit(todays_graph, warm_start=True)   # cheap refit
+        :meth:`from_graph`.  Clears the serving cache.  A fit that follows
+        a fit reuses every component the sharded backend finds unchanged
+        and refits the rest cold, so the result is always that of a cold
+        fit of ``graph``.
         """
         self._ensure_not_store_backed("fit")
-        # Validate before rebinding self._graph: a rejected warm start must
-        # not leave engine.graph pointing at a graph the held scores (and a
-        # later save()'s recorded fingerprint) were never fitted on.
-        if warm_start:
-            if not self.method.is_fitted:
-                raise RuntimeError(
-                    "fit(warm_start=True) needs previous scores to seed from; "
-                    "fit cold first or load a snapshot"
-                )
-            if not self._warm_start_sound():
-                raise RuntimeError(
-                    "fit(warm_start=True) needs SimrankConfig.tolerance > 0: "
-                    "with tolerance 0 the result is defined as exactly "
-                    "`iterations` steps from the identity, and continuing "
-                    "from a seed would compute a different (further-"
-                    "converged) result -- set a tolerance or fit cold"
-                )
         if graph is not None:
             self._graph = graph
         if self._graph is None:
@@ -314,12 +284,7 @@ class RewriteEngine:
                 "no click graph to fit on; pass one to fit() or build the "
                 "engine with RewriteEngine.from_graph(graph, ...)"
             )
-        if warm_start:
-            self.method.fit(self._graph, initial_scores=self.method.similarities())
-        else:
-            # Cold path stays positional so method subclasses written
-            # against the pre-warm-start fit(graph) signature keep working.
-            self.method.fit(self._graph)
+        self.method.fit(self._graph)
         self._mark_fresh_fit()
         self.clear_cache()
         return self
@@ -328,31 +293,20 @@ class RewriteEngine:
         """Bring a fitted engine forward over a click-graph delta.
 
         Applies the delta to the bound graph, refits the similarity method
-        warm-started from the current scores (the sharded backend
-        additionally reuses every untouched component verbatim -- see
+        (the sharded backend reuses every untouched component verbatim and
+        refits the dirty ones cold -- see
         :class:`~repro.core.simrank_sharded.ShardedSimrank`), and drops only
         the cached rewrite lists whose results could have changed: the
         queries connected to a changed edge, before or after the delta.
         SimRank-family scores never cross component boundaries, so every
-        other cached entry still serves correct rewrites.  (The sharded
-        backend reuses untouched components' scores verbatim; with the
-        ``reference`` backend the surviving entries' *scores* may differ
-        from a fresh recompute by up to the convergence tolerance.)
-
-        Warm-start seeding requires tolerance-based early exit.  With
-        ``SimrankConfig.tolerance == 0`` the method's result is *defined*
-        as exactly ``iterations`` Jacobi steps from the identity, and
-        continuing from a seed would silently compute a further-converged,
-        different result -- so the refit is cold instead.  Selective cache
-        invalidation stays exact there: the iteration never mixes
-        components, so a cold refit reproduces untouched components'
-        scores bit-identically.
+        other cached entry still serves correct rewrites.  The refreshed
+        engine serves exactly what a cold fit of the updated graph serves.
 
         An empty delta is a true no-op: no refit, every cache entry kept.
         What happened is recorded in :attr:`last_refresh`.  Raises
         ``RuntimeError`` on an unfitted engine or one revived from a
         snapshot (which carries no graph to apply the delta to -- use
-        ``fit(graph, warm_start=True)`` there instead).  If the refit
+        ``fit(graph)`` with the updated graph there instead).  If the refit
         itself fails, the delta is rolled back before the error propagates,
         so the engine keeps serving its consistent pre-refresh state and
         the same refresh can be retried.
@@ -376,8 +330,8 @@ class RewriteEngine:
         if self._graph is None:
             raise RuntimeError(
                 "refresh() needs the fitted click graph, and engines revived "
-                "from a snapshot carry none; call fit(graph, warm_start=True) "
-                "with the updated graph instead"
+                "from a snapshot carry none; call fit(graph) with the "
+                "updated graph instead"
             )
         if delta.is_empty:
             self.last_refresh = RefreshInfo(
@@ -385,7 +339,6 @@ class RewriteEngine:
                 affected_queries=0,
                 invalidated_entries=0,
                 refit=False,
-                warm_started=False,
             )
             return self
         touched_queries = delta.touched_queries()
@@ -404,14 +357,8 @@ class RewriteEngine:
             # ones and the second traversal would re-walk them for nothing.
             affected |= reachable_queries(self._graph, touched_queries, touched_ads)
         affected |= touched_queries  # endpoints left isolated on either side
-        warm = self._warm_start_sound()
         try:
-            if warm:
-                self.method.fit(
-                    self._graph, initial_scores=self.method.similarities()
-                )
-            else:
-                self.method.fit(self._graph)
+            self.method.fit(self._graph)
         except BaseException:
             # A failed refit must not leave the engine half-refreshed: the
             # scores, cache and last_refresh are still pre-delta, so put the
@@ -430,7 +377,6 @@ class RewriteEngine:
             affected_queries=len(affected),
             invalidated_entries=invalidated,
             refit=True,
-            warm_started=warm,
         )
         return self
 
@@ -480,16 +426,6 @@ class RewriteEngine:
         # the copies to diverge on.
         clone._store = self._store
         return clone
-
-    def _warm_start_sound(self) -> bool:
-        """Whether seeding the refit preserves the method's result definition.
-
-        Only with tolerance-based early exit does a warm start converge to
-        the same answer as a cold fit; at ``tolerance == 0`` the result is
-        the fixed iteration count from the identity, which a seed would
-        silently overshoot.
-        """
-        return self.config.similarity.tolerance > 0
 
     def _mark_fresh_fit(self) -> None:
         """Reset per-fit bookkeeping: a fresh fit supersedes snapshot state."""

@@ -67,7 +67,6 @@ __all__ = [
     "write_snapshot",
     "read_snapshot",
     "read_manifest",
-    "warm_start_from_snapshot",
     "EngineSnapshotStore",
 ]
 
@@ -401,27 +400,6 @@ def _blocks_from_csr_archive(archive, index: list) -> ArraySimilarityScores:
             block[row, position[indices[start:end]]] = data[start:end]
         blocks.append((block, [index[node] for node in group.tolist()]))
     return ArraySimilarityScores(blocks)
-
-
-def warm_start_from_snapshot(path: PathLike, graph, engine_cls=None):
-    """A snapshot as a *warm-start seed*: revive and refit on a changed graph.
-
-    :func:`read_snapshot` alone serves the scores exactly as persisted --
-    right when the graph has not moved since the save.  When it *has* moved
-    (a newer collection period, an applied
-    :class:`~repro.graph.delta.ClickGraphDelta`), this revives the engine
-    and immediately refits on ``graph`` with the snapshot's scores seeding
-    the fixpoint, which converges in far fewer iterations than a cold fit
-    when the change is small.  Returns a fitted, servable engine bound to
-    ``graph``.
-
-    The snapshot's config must have ``SimrankConfig.tolerance > 0``
-    (:meth:`RewriteEngine.fit` raises otherwise): without tolerance-based
-    early exit a seeded continuation would compute a different result than
-    the cold fit it stands in for.
-    """
-    engine = read_snapshot(path, engine_cls=engine_cls)
-    return engine.fit(graph, warm_start=True)
 
 
 # -------------------------------------------------------------- named store

@@ -62,12 +62,7 @@ class EvidenceSimrank(QuerySimilarityMethod):
         self._simrank = BipartiteSimrank(
             config=self.config, track_history=self.track_history, max_pairs=self.max_pairs
         )
-        # A warm-start seed passes straight through to the inner SimRank.
-        # The seed is evidence-scaled (this method's similarities() applies
-        # the evidence factor on top of the plain fixpoint) and therefore a
-        # less warm starting point than for the other modes -- still valid,
-        # since the contraction converges from anywhere.
-        self._simrank.fit(graph, initial_scores=self._warm_start_scores)
+        self._simrank.fit(graph)
         result = self._simrank.result
 
         query_scores = self._apply_evidence(graph, result.query_scores, side="query")

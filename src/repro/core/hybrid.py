@@ -96,11 +96,7 @@ class HybridSimilarity(QuerySimilarityMethod):
         # `graph_method.graph is graph`, but graphs are mutated *in place*
         # by RewriteEngine.refresh (and may be by callers), and an identity
         # check cannot see that -- the method holds the very object that
-        # changed -- so the shortcut served stale pre-mutation scores.  The
-        # call stays positional: the inner method may be any
-        # QuerySimilarityMethod, including ones with the pre-warm-start
-        # fit(graph) signature, and the hybrid's blended seed would be a
-        # poor inner seed anyway.
+        # changed -- so the shortcut served stale pre-mutation scores.
         self.graph_method.fit(graph)
         self._text.fit(graph)
         graph_scores = self.graph_method.similarities()

@@ -186,25 +186,6 @@ class ArraySimilarityScores:
         """Number of stored pairs with a non-zero score (all of them)."""
         return len(self)
 
-    def submatrix(self, index: Sequence[Node]) -> np.ndarray:
-        """Dense scores among ``index`` (zero diagonal).
-
-        Nodes this store does not know, and pairs that span two blocks,
-        score 0.  Only the blocks holding a node of ``index`` are read, so
-        a warm-start seed for one component never scans the others.
-        """
-        result = np.zeros((len(index), len(index)))
-        grouped: Dict[int, Tuple[List[int], List[int]]] = {}
-        for target, node in enumerate(index):
-            at = self._locate(node)
-            if at is not None:
-                rows, targets = grouped.setdefault(at[0], ([], []))
-                rows.append(at[1])
-                targets.append(target)
-        for block_id, (rows, targets) in grouped.items():
-            result[np.ix_(targets, targets)] = self._blocks[block_id][0][np.ix_(rows, rows)]
-        return result
-
     # ------------------------------------------------------------------ misc
 
     def max_difference(self, other) -> float:

@@ -32,26 +32,11 @@ class QuerySimilarityMethod(abc.ABC):
         #: Bumped by every fit() and restore(); serving layers compare it to
         #: detect an out-of-band refit/restore and drop their caches.
         self._fit_generation = 0
-        #: Warm-start seed visible to _compute_query_scores during one fit.
-        self._warm_start_scores = None
 
     # ------------------------------------------------------------------- fit
 
-    def fit(
-        self, graph: ClickGraph, initial_scores=None
-    ) -> "QuerySimilarityMethod":
+    def fit(self, graph: ClickGraph) -> "QuerySimilarityMethod":
         """Analyse the click graph and cache query-query similarity scores.
-
-        ``initial_scores`` optionally seeds the computation with a previous
-        fit's query scores (any store exposing ``score``/``pairs``, such as
-        :meth:`similarities` of an earlier fit or a revived snapshot).  The
-        iterative backends start their fixpoint from the seed instead of
-        the identity -- with ``SimrankConfig.tolerance`` early exit, a fit
-        after a small graph perturbation converges in far fewer iterations
-        -- and the sharded backend additionally reuses untouched components
-        verbatim.  Methods without an iterative fixpoint (Pearson, the
-        overlap baselines) ignore the seed; results are unchanged either
-        way, only the work to reach them shrinks.
 
         The replacement score store is computed *fully* before being
         published into ``self._query_scores`` (a single reference
@@ -61,11 +46,7 @@ class QuerySimilarityMethod(abc.ABC):
         (see :meth:`repro.api.engine.RewriteEngine.refresh`).
         """
         self._graph = graph
-        self._warm_start_scores = initial_scores
-        try:
-            self._query_scores = self._compute_query_scores(graph)
-        finally:
-            self._warm_start_scores = None
+        self._query_scores = self._compute_query_scores(graph)
         self._fit_generation += 1
         return self
 

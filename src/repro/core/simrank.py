@@ -27,7 +27,6 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from repro.core.config import SimrankConfig
 from repro.core.scores import SimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
-from repro.core.warm_start import seed_pair_scores
 from repro.graph.click_graph import ClickGraph
 from repro.graph.components import connected_components
 
@@ -100,22 +99,8 @@ class BipartiteSimrank(QuerySimilarityMethod):
         query_neighbors = {query: list(graph.ads_of(query)) for query in graph.queries()}
         ad_neighbors = {ad: list(graph.queries_of(ad)) for ad in graph.ads()}
 
-        seed = self._warm_start_scores
-        if seed is not None:
-            # Warm start: the query side takes the previous scores and the
-            # ad side is derived by one application of its update, so both
-            # sides of the Jacobi alternation start near the fixpoint (a
-            # zero ad side would wash the query seed out on step one).
-            sim_q = seed_pair_scores(seed, query_pairs)
-            sim_a = self._update_side(
-                pairs=ad_pairs,
-                neighbors=ad_neighbors,
-                other_scores=sim_q,
-                decay=self.config.c2,
-            )
-        else:
-            sim_q: Dict[Pair, float] = {pair: 0.0 for pair in query_pairs}
-            sim_a: Dict[Pair, float] = {pair: 0.0 for pair in ad_pairs}
+        sim_q: Dict[Pair, float] = {pair: 0.0 for pair in query_pairs}
+        sim_a: Dict[Pair, float] = {pair: 0.0 for pair in ad_pairs}
         history_q: List[SimilarityScores] = []
         history_a: List[SimilarityScores] = []
         converged = False

@@ -27,7 +27,6 @@ import numpy as np
 from repro.core.config import EvidenceKind, SimrankConfig
 from repro.core.scores_array import ArraySimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
-from repro.core.warm_start import seed_dense
 from repro.graph.click_graph import ClickGraph
 
 __all__ = ["MatrixSimrank"]
@@ -57,8 +56,6 @@ class MatrixSimrank(QuerySimilarityMethod):
         self.name = {"simrank": "simrank", "evidence": "evidence_simrank", "weighted": "weighted_simrank"}[mode]
         #: Iterations actually executed by the last fit (early exit included).
         self.iterations_run: Optional[int] = None
-        #: Whether the last fit started from a warm seed instead of identity.
-        self.warm_started: bool = False
         self._query_index: List[Node] = []
         self._ad_index: List[Node] = []
         self._query_matrix: Optional[np.ndarray] = None
@@ -67,7 +64,6 @@ class MatrixSimrank(QuerySimilarityMethod):
     # -------------------------------------------------------------- fit path
 
     def _compute_query_scores(self, graph: ClickGraph) -> ArraySimilarityScores:
-        self.warm_started = False
         # Zero-degree nodes can only self-score (implicitly 1), so carrying
         # them through the dense iteration would only inflate the matrices.
         self._query_index = sorted(
@@ -111,24 +107,8 @@ class MatrixSimrank(QuerySimilarityMethod):
                 binary.T, self.config.evidence, self.config.zero_evidence_floor
             )
 
-        seed = self._warm_start_scores
-        self.warm_started = seed is not None
-        if seed is not None:
-            # Warm start: previous query scores seed the iteration, and the
-            # ad side is derived by one application of the ad update so both
-            # sides start near the fixpoint together (an identity ad side
-            # would wash the query seed out on the first Jacobi step).  For
-            # mode='evidence' the seed is post-evidence-scaled and therefore
-            # farther from the (pre-evidence) iteration state -- still a
-            # valid starting point, just a less warm one.
-            sim_query = seed_dense(seed, self._query_index)
-            sim_ad = self.config.c2 * (p_ad @ sim_query @ p_ad.T)
-            if self.mode == "weighted":
-                sim_ad *= evidence_ad
-            np.fill_diagonal(sim_ad, 1.0)
-        else:
-            sim_query = np.eye(n_q)
-            sim_ad = np.eye(n_a)
+        sim_query = np.eye(n_q)
+        sim_ad = np.eye(n_a)
         self.iterations_run = 0
         for _ in range(self.config.iterations):
             new_query = self.config.c1 * (p_query @ sim_ad @ p_query.T)
@@ -170,7 +150,6 @@ class MatrixSimrank(QuerySimilarityMethod):
         """
         super().restore(scores, graph)
         self.iterations_run = None
-        self.warm_started = False
         self._query_index = []
         self._ad_index = []
         self._query_matrix = None

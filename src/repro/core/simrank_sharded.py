@@ -33,9 +33,18 @@ worker per *available* CPU (affinity-aware, see
 ``executor``: ``"thread"`` shares the interpreter (cheap to start, but
 GIL-bound outside numpy's released-GIL regions), ``"process"`` fits shard
 batches in worker processes for true multi-core scaling (picklable payloads,
-the warm-start seed shipped once per batch, batches balanced by estimated
-cost), and ``"auto"`` -- the default -- picks processes only when the
-estimated work clearly exceeds the fork/pickle overhead.
+batches balanced by estimated cost), and ``"auto"`` -- the default -- picks
+processes only when the estimated work clearly exceeds the fork/pickle
+overhead.
+
+A fit that follows a fit is incremental: a component whose node set and
+edges (statistics included) equal one of the previous fit's shards is
+*clean*, and its fitted kernel is reused verbatim.  Every other component
+-- changed, merged, split or new -- is refit cold, from the identity.  The
+kernel indexes each component's nodes in sorted order, so a cold refit of
+a clean component would reproduce its scores bit for bit: reuse saves the
+work and never changes an answer.  A refit therefore serves exactly what a
+cold fit of the same graph serves, whatever the fit history.
 """
 
 from __future__ import annotations
@@ -107,8 +116,6 @@ class ShardedSimrank(QuerySimilarityMethod):
         #: Iterations of the last fit: the most any shard ran (a reused
         #: shard counts with the iterations of the fit that produced it).
         self.iterations_run: Optional[int] = None
-        #: Whether the last fit received a warm-start seed.
-        self.warm_started: bool = False
         #: Shards of the last fit reused verbatim from the previous fit
         #: (dirty-component detection) and shards actually refit.
         self.reused_shards: Optional[int] = None
@@ -130,7 +137,6 @@ class ShardedSimrank(QuerySimilarityMethod):
         # serving the previous fit on a refit.
         prior_state = (
             self.iterations_run,
-            self.warm_started,
             self.reused_shards,
             self.refitted_shards,
             self._shard_graphs,
@@ -143,7 +149,6 @@ class ShardedSimrank(QuerySimilarityMethod):
         except BaseException:
             (
                 self.iterations_run,
-                self.warm_started,
                 self.reused_shards,
                 self.refitted_shards,
                 self._shard_graphs,
@@ -154,8 +159,6 @@ class ShardedSimrank(QuerySimilarityMethod):
             raise
 
     def _compute_and_stitch(self, graph: ClickGraph) -> ArraySimilarityScores:
-        seed = self._warm_start_scores
-        self.warm_started = seed is not None
         previous_graphs = self._shard_graphs or []
         previous_methods = self._shard_methods or []
         previous_query_shard = self._query_shard or {}
@@ -170,27 +173,26 @@ class ShardedSimrank(QuerySimilarityMethod):
             if queries and ads
         ]
 
-        # Dirty-component detection: on a warm-start fit, a component whose
-        # node set and adjacency are identical to one of the previous fit's
-        # shards is *clean* -- no edge in it changed, so its fixpoint is
-        # exactly the previous one and both the fitted inner engine and the
-        # induced subgraph are reused verbatim (no rebuild, no refit).  The
-        # check reads per-node adjacency straight off the full graph, so
-        # clean components cost O(component edges), not an O(all edges)
-        # subgraph construction.  Only dirty components (changed, merged,
-        # split or new) are refit, each warm-started from the seed scores.
+        # Dirty-component detection: a component whose node set and
+        # adjacency are identical to one of the previous fit's shards is
+        # *clean* -- no edge in it changed, so its fixpoint is exactly the
+        # previous one and both the fitted inner engine and the induced
+        # subgraph are reused verbatim (no rebuild, no refit).  The check
+        # reads per-node adjacency straight off the full graph, so clean
+        # components cost O(component edges), not an O(all edges) subgraph
+        # construction.  Only dirty components (changed, merged, split or
+        # new) are refit, each cold.
         shard_graphs: List[Optional[ClickGraph]] = [None] * len(components)
         methods: List[Optional[QuerySimilarityMethod]] = [None] * len(components)
-        if seed is not None and previous_methods:
-            for shard_id, (queries, ads) in enumerate(components):
-                previous_id = _single_previous_shard(
-                    queries, ads, previous_query_shard, previous_ad_shard
-                )
-                if previous_id is not None and _component_unchanged(
-                    graph, queries, ads, previous_graphs[previous_id]
-                ):
-                    shard_graphs[shard_id] = previous_graphs[previous_id]
-                    methods[shard_id] = previous_methods[previous_id]
+        for shard_id, (queries, ads) in enumerate(components):
+            previous_id = _single_previous_shard(
+                queries, ads, previous_query_shard, previous_ad_shard
+            )
+            if previous_id is not None and _component_unchanged(
+                graph, queries, ads, previous_graphs[previous_id]
+            ):
+                shard_graphs[shard_id] = previous_graphs[previous_id]
+                methods[shard_id] = previous_methods[previous_id]
 
         dirty = [shard_id for shard_id, method in enumerate(methods) if method is None]
         for shard_id in dirty:
@@ -199,7 +201,7 @@ class ShardedSimrank(QuerySimilarityMethod):
         self.reused_shards = len(components) - len(dirty)
         self.refitted_shards = len(dirty)
         dirty_graphs = [shard_graphs[shard_id] for shard_id in dirty]
-        fitted = self._fit_shards(dirty_graphs, seed)
+        fitted = self._fit_shards(dirty_graphs)
         for shard_id, method in zip(dirty, fitted):
             methods[shard_id] = method
         self.iterations_run = max(
@@ -226,16 +228,12 @@ class ShardedSimrank(QuerySimilarityMethod):
         """The dense kernel that fits one component."""
         return MatrixSimrank(config=self.config, mode=self.mode, min_score=self.min_score)
 
-    def _fit_shards(
-        self, subgraphs: List[ClickGraph], seed=None
-    ) -> List[QuerySimilarityMethod]:
+    def _fit_shards(self, subgraphs: List[ClickGraph]) -> List[QuerySimilarityMethod]:
         """Fit one inner engine per component, serially or on a worker pool.
 
-        ``seed`` is the optional warm-start store shared by every shard fit:
-        each inner fit reads only its own component's block from it (see
-        :func:`repro.core.warm_start.seed_dense`).  A failing shard fit
-        cancels the outstanding shard fits and re-raises the first error in
-        submission order; the caller restores the pre-fit state.
+        A failing shard fit cancels the outstanding shard fits and re-raises
+        the first error in submission order; the caller restores the pre-fit
+        state.
         """
         methods = [self._build_inner(subgraph) for subgraph in subgraphs]
         workers = self._resolve_jobs(len(subgraphs))
@@ -248,24 +246,23 @@ class ShardedSimrank(QuerySimilarityMethod):
             for method, subgraph, action in zip(methods, subgraphs, actions):
                 if action is not None:
                     action.execute()
-                method.fit(subgraph, initial_scores=seed)
+                method.fit(subgraph)
             return methods
         if self._resolve_executor(subgraphs, workers) == "process":
-            return self._fit_shards_process(methods, subgraphs, seed, workers, actions)
-        return self._fit_shards_thread(methods, subgraphs, seed, workers, actions)
+            return self._fit_shards_process(methods, subgraphs, workers, actions)
+        return self._fit_shards_thread(methods, subgraphs, workers, actions)
 
     def _fit_shards_thread(
         self,
         methods: List[QuerySimilarityMethod],
         subgraphs: List[ClickGraph],
-        seed,
         workers: int,
         actions: List[Optional[faults.FaultAction]],
     ) -> List[QuerySimilarityMethod]:
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             futures = [
-                pool.submit(_fit_one_shard, method, subgraph, seed, action)
+                pool.submit(_fit_one_shard, method, subgraph, action)
                 for method, subgraph, action in zip(methods, subgraphs, actions)
             ]
             # Stop at the first failure instead of draining the whole map:
@@ -283,7 +280,6 @@ class ShardedSimrank(QuerySimilarityMethod):
         self,
         methods: List[QuerySimilarityMethod],
         subgraphs: List[ClickGraph],
-        seed,
         workers: int,
         actions: List[Optional[faults.FaultAction]],
     ) -> List[QuerySimilarityMethod]:
@@ -291,10 +287,9 @@ class ShardedSimrank(QuerySimilarityMethod):
 
         Shards are packed into at most ``workers`` cost-balanced batches
         (one pickled payload per batch amortises IPC) and each worker
-        rebuilds, fits and returns its engines; the warm-start seed travels
-        inside the payload (pickled once per batch).  The fitted engines
-        replace the local placeholders, so callers observe exactly the
-        serial result.
+        rebuilds, fits and returns its engines.  The fitted engines replace
+        the local placeholders, so callers observe exactly the serial
+        result.
 
         Injected faults travel the same way: the parent claims them (the
         generic ``shard.fit`` ones handed in by the caller, plus the
@@ -313,7 +308,6 @@ class ShardedSimrank(QuerySimilarityMethod):
                     self.mode,
                     self.min_score,
                     subgraphs[i],
-                    seed,
                     tuple(
                         action
                         for action in (actions[i], worker_actions[i])
@@ -359,7 +353,6 @@ class ShardedSimrank(QuerySimilarityMethod):
         """
         super().restore(scores, graph)
         self.iterations_run = None
-        self.warm_started = False
         self.reused_shards = None
         self.refitted_shards = None
         self._shard_graphs = None
@@ -406,13 +399,12 @@ class ShardedSimrank(QuerySimilarityMethod):
 def _fit_one_shard(
     method: QuerySimilarityMethod,
     subgraph: ClickGraph,
-    seed,
     action: Optional[faults.FaultAction],
 ) -> QuerySimilarityMethod:
     """Thread-pool task body: execute any claimed fault, then fit the shard."""
     if action is not None:
         action.execute()
-    return method.fit(subgraph, initial_scores=seed)
+    return method.fit(subgraph)
 
 
 def _fit_shard_batch(batch: List[Tuple]) -> List[QuerySimilarityMethod]:
@@ -420,19 +412,19 @@ def _fit_shard_batch(batch: List[Tuple]) -> List[QuerySimilarityMethod]:
 
     Module-level (and fed only picklable payloads) so it can cross the
     process boundary: each payload is ``(config, mode, min_score, subgraph,
-    seed, fault_actions)`` and the fitted engines -- graph,
-    scores and all -- are pickled back to the parent, where they serve
+    fault_actions)`` and the fitted engines -- graph, scores and all -- are
+    pickled back to the parent, where they serve
     exactly like thread-fitted ones.  Fault actions were claimed in the
     parent (central, deterministic counting) and execute here, in the
     worker -- ``crash=True`` actions take down this process, which the
     parent pool surfaces as ``BrokenProcessPool``.
     """
     fitted = []
-    for config, mode, min_score, subgraph, seed, shard_faults in batch:
+    for config, mode, min_score, subgraph, shard_faults in batch:
         for action in shard_faults:
             action.execute()
         method = MatrixSimrank(config=config, mode=mode, min_score=min_score)
-        method.fit(subgraph, initial_scores=seed)
+        method.fit(subgraph)
         fitted.append(method)
     return fitted
 

@@ -32,7 +32,6 @@ from repro.core.evidence import evidence_score
 from repro.core.scores import SimilarityScores
 from repro.core.similarity_base import QuerySimilarityMethod
 from repro.core.simrank import _component_pairs, _max_delta, _to_scores
-from repro.core.warm_start import seed_pair_scores
 from repro.graph.click_graph import ClickGraph, WeightSource
 
 __all__ = ["WeightedSimrank", "WeightedSimrankResult", "spread", "transition_factors"]
@@ -177,22 +176,8 @@ class WeightedSimrank(QuerySimilarityMethod):
         query_evidence = self._pair_evidence(graph, query_pairs, side="query")
         ad_evidence = self._pair_evidence(graph, ad_pairs, side="ad")
 
-        seed = self._warm_start_scores
-        if seed is not None:
-            # Warm start (see BipartiteSimrank._run): query side from the
-            # previous scores, ad side derived by one update application.
-            sim_q = seed_pair_scores(seed, query_pairs)
-            sim_a = self._update_side(
-                pairs=ad_pairs,
-                neighbors=ad_neighbors,
-                factors=ad_factors,
-                evidence=ad_evidence,
-                other_scores=sim_q,
-                decay=self.config.c2,
-            )
-        else:
-            sim_q: Dict[Pair, float] = {pair: 0.0 for pair in query_pairs}
-            sim_a: Dict[Pair, float] = {pair: 0.0 for pair in ad_pairs}
+        sim_q: Dict[Pair, float] = {pair: 0.0 for pair in query_pairs}
+        sim_a: Dict[Pair, float] = {pair: 0.0 for pair in ad_pairs}
         history_q: List[SimilarityScores] = []
         history_a: List[SimilarityScores] = []
         converged = False

@@ -148,7 +148,6 @@ class ExperimentHarness:
         seed: int = 29,
         save_engines_to: Optional[Union[str, Path]] = None,
         load_engines_from: Optional[Union[str, Path]] = None,
-        refresh_engines_from: Optional[Union[str, Path]] = None,
     ) -> None:
         self.workload = workload or yahoo_like_workload(workload_size)
         # The paper preset's zero-evidence floor keeps the evidence-carrying
@@ -176,13 +175,6 @@ class ExperimentHarness:
         #: directory when the workload, config or seed changes).
         self.save_engines_to = save_engines_to
         self.load_engines_from = load_engines_from
-        #: Warm-start fallback: snapshots under this directory whose config
-        #: and bid terms match -- but whose *graph* need not -- seed a
-        #: warm-started refit on the current dataset instead of a cold fit.
-        #: This is the incremental path when the workload moved between
-        #: runs; ``load_engines_from`` (exact match, no refit) wins when
-        #: both are set and the snapshot still fits.
-        self.refresh_engines_from = refresh_engines_from
 
     # ------------------------------------------------------------------- run
 
@@ -274,19 +266,13 @@ class ExperimentHarness:
     # ------------------------------------------------------------ evaluation
 
     def _fitted_engine(self, method_name: str, dataset: ClickGraph) -> RewriteEngine:
-        """A servable engine for one method: loaded, warm-started, or fitted.
+        """A servable engine for one method: loaded or fitted.
 
         With ``load_engines_from`` set and a ``<method>-<backend>`` snapshot
         present, the engine is revived without refitting -- but only when the
         snapshot's persisted configuration and bid terms match what this run
         would fit with; a mismatched snapshot (say, a different iteration
         count) is ignored rather than silently serving stale knobs.
-
-        With ``refresh_engines_from`` set, a snapshot whose config and bid
-        terms match but whose recorded graph differs from ``dataset`` is used
-        as a *warm-start seed*: the engine is revived and refit on
-        ``dataset`` with the snapshot's scores seeding the fixpoint (far
-        fewer iterations on a mildly moved workload than a cold fit).
 
         Otherwise the method is fitted cold on ``dataset``.  In every path
         the resulting engine is snapshotted when ``save_engines_to`` is set.
@@ -305,38 +291,14 @@ class ExperimentHarness:
                     ).engine
                 except SnapshotError:
                     pass  # damaged snapshot: fall through to a fresh fit
-        engine = self._warm_started_engine(name, method_name, dataset)
-        if engine is None:
-            engine = resolve_engine_source(
-                graph=dataset,
-                config=self._engine_config(method_name),
-                bid_terms=self._bid_terms(),
-            ).engine
+        engine = resolve_engine_source(
+            graph=dataset,
+            config=self._engine_config(method_name),
+            bid_terms=self._bid_terms(),
+        ).engine
         if self.save_engines_to is not None:
             EngineSnapshotStore(self.save_engines_to).save(name, engine)
         return engine
-
-    def _warm_started_engine(
-        self, name: str, method_name: str, dataset: ClickGraph
-    ) -> Optional[RewriteEngine]:
-        """Engine warm-started from ``refresh_engines_from``, or None.
-
-        Requires tolerance-based early exit: with ``tolerance == 0`` the
-        method's result is the fixed iteration count from the identity, and
-        a seeded refit would silently compute a further-converged, different
-        result -- the harness falls back to a cold fit there.
-        """
-        if self.refresh_engines_from is None or self.config.tolerance <= 0:
-            return None
-        store = EngineSnapshotStore(self.refresh_engines_from)
-        if name not in store or not self._snapshot_matches(
-            store, name, method_name, dataset, require_same_graph=False
-        ):
-            return None
-        try:
-            return store.load(name).fit(dataset, warm_start=True)
-        except SnapshotError:
-            return None  # damaged snapshot: cold fit instead
 
     def _snapshot_matches(
         self,
@@ -344,7 +306,6 @@ class ExperimentHarness:
         name: str,
         method_name: str,
         dataset: ClickGraph,
-        require_same_graph: bool = True,
     ) -> bool:
         """Cheap manifest-only check that a snapshot fits this run.
 
@@ -353,9 +314,7 @@ class ExperimentHarness:
         and bid terms, the snapshot's recorded graph fingerprint must match
         the dataset this run would fit on, so changed dataset-shaping knobs
         (``num_subgraphs``, ``use_partitioning``, workload, seed) do not
-        silently revive an engine fitted on a different graph.  The
-        warm-start path passes ``require_same_graph=False``: a snapshot of a
-        *different* graph state is exactly what seeds a warm refit.
+        silently revive an engine fitted on a different graph.
         """
         try:
             manifest = store.manifest(name)
@@ -371,10 +330,7 @@ class ExperimentHarness:
         return (
             persisted_config == self._engine_config(method_name)
             and persisted_bid_terms == self._bid_terms()
-            and (
-                not require_same_graph
-                or fingerprint == graph_fingerprint(dataset)
-            )
+            and fingerprint == graph_fingerprint(dataset)
         )
 
     def _engine_config(self, method_name: str) -> EngineConfig:

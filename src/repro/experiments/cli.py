@@ -9,7 +9,6 @@ Examples::
     simrankpp-experiments --experiment figure8 --n-jobs -1
     simrankpp-experiments --experiment figure8 --save-engine engines/
     simrankpp-experiments --experiment figure8 --load-engine engines/
-    simrankpp-experiments --experiment figure8 --tolerance 1e-8 --refresh-from engines/
     simrankpp-experiments --list-methods
 
 The ``serve`` subcommand starts the online serving tier
@@ -112,18 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--refresh-from",
-        metavar="DIR",
-        default=None,
-        help=(
-            "use config-matching engine snapshots under DIR as warm-start "
-            "seeds: each engine is revived and refit on the current workload "
-            "with the snapshot's scores seeding the fixpoint (the "
-            "incremental path when the graph moved since the snapshot was "
-            "saved; --load-engine wins for snapshots of the identical graph)"
-        ),
-    )
-    parser.add_argument(
         "--list-methods",
         action="store_true",
         help="list the registered similarity methods and exit",
@@ -138,9 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "early-exit threshold on the largest per-pair score change "
             "between iterations (0 = always run the full iteration count); "
-            "required > 0 for --refresh-from to actually warm-start, since "
-            "a seeded fixpoint without early exit would over-converge past "
-            "the cold fit's defined result"
+            "every fit starts from the identity"
         ),
     )
     parser.add_argument(
@@ -186,7 +171,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         executor=args.executor,
         save_engines_to=args.save_engine,
         load_engines_from=args.load_engine,
-        refresh_engines_from=args.refresh_from,
     )
     if args.experiment == "all":
         output = experiments.render_all()

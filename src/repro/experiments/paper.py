@@ -230,10 +230,6 @@ class PaperExperiments:
     #: ``load_engines_from`` instead of refitting; see ExperimentHarness.
     save_engines_to: Optional[str] = None
     load_engines_from: Optional[str] = None
-    #: Warm-start directory: config-matching snapshots of a *different*
-    #: graph state seed a warm refit instead of a cold fit (see
-    #: ExperimentHarness.refresh_engines_from).
-    refresh_engines_from: Optional[str] = None
     _result: Optional[EvaluationResult] = None
 
     def harness_result(self) -> EvaluationResult:
@@ -249,7 +245,6 @@ class PaperExperiments:
                 executor=self.executor,
                 save_engines_to=self.save_engines_to,
                 load_engines_from=self.load_engines_from,
-                refresh_engines_from=self.refresh_engines_from,
             )
             self._result = harness.run()
         return self._result

@@ -300,14 +300,15 @@ class ClickGraph:
     # ------------------------------------------------------------ derivation
 
     def copy(self) -> "ClickGraph":
-        """Deep-enough copy: edge stats are immutable, adjacency dicts are new."""
+        """Deep-enough copy: edge stats are immutable, adjacency dicts are new.
+
+        Both sides keep their adjacency order, so the copy iterates exactly
+        like the original.  The ``reference`` oracle sums neighbours in
+        adjacency order, so only an exact copy fits to the same floats.
+        """
         clone = ClickGraph()
-        for query in self._query_adj:
-            clone.add_query(query)
-        for ad in self._ad_adj:
-            clone.add_ad(ad)
-        for query, ad, stats in self.edges():
-            clone.add_edge_stats(query, ad, stats)
+        clone._query_adj = {query: dict(ads) for query, ads in self._query_adj.items()}
+        clone._ad_adj = {ad: dict(queries) for ad, queries in self._ad_adj.items()}
         return clone
 
     def subgraph(

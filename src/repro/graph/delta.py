@@ -7,7 +7,7 @@ unit of change between two graph states: the edges that were added, the
 edges whose statistics changed and the edges that disappeared.  It is the
 input of :meth:`ClickGraph.apply_delta` (bring a graph forward) and of
 :meth:`repro.api.engine.RewriteEngine.refresh` (bring a *fitted engine*
-forward with a warm-started refit instead of a cold fixpoint).
+forward by refitting only the components the delta touched).
 
 Deltas come from two places:
 

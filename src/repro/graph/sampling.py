@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Hashable, Iterable, List, Optional, Sequence
+from typing import Hashable, Iterable, List, Sequence
 
 from repro.graph.click_graph import ClickGraph
 
@@ -23,7 +23,7 @@ Node = Hashable
 def sample_queries_by_traffic(
     traffic: Sequence[Node],
     sample_size: int,
-    rng: Optional[random.Random] = None,
+    rng: random.Random,
     unique: bool = True,
 ) -> List[Node]:
     """Sample queries uniformly from a traffic stream.
@@ -31,13 +31,14 @@ def sample_queries_by_traffic(
     ``traffic`` is the raw stream of issued queries (with repetitions); the
     returned sample is therefore popularity-weighted over distinct queries.
     With ``unique=True`` duplicates are removed while preserving the sampling
-    order, so the result may be shorter than ``sample_size``.
+    order, so the result may be shorter than ``sample_size``.  ``rng`` is
+    required: the sample feeds paper numbers, which must not depend on an
+    unseeded generator.
     """
     if sample_size < 0:
         raise ValueError("sample_size must be non-negative")
     if not traffic:
         return []
-    rng = rng or random.Random()
     draws = [traffic[rng.randrange(len(traffic))] for _ in range(sample_size)]
     if not unique:
         return draws

@@ -2,7 +2,7 @@
 
 This package composes the offline/online split built up by the previous
 layers -- snapshots (:mod:`repro.api.snapshot`), incremental deltas and
-warm refits (:mod:`repro.graph.delta`, ``RewriteEngine.refresh``) -- into
+refits (:mod:`repro.graph.delta`, ``RewriteEngine.refresh``) -- into
 an actual network service:
 
 * :class:`~repro.serving.holder.EngineHolder` -- copy-on-write engine

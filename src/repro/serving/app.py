@@ -98,8 +98,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=float,
         default=1e-8,
-        help="early-exit tolerance; must stay > 0 for /refresh to warm-start "
-        "instead of refitting cold",
+        help="early-exit tolerance on the largest per-pair score change "
+        "between iterations (0 = always run the full iteration count)",
     )
     source.add_argument(
         "--precompute",

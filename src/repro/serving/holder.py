@@ -130,7 +130,7 @@ class EngineHolder:
         Returns the new version.  Concurrent ``refresh`` calls serialize:
         each captures the engine published by the previous one, so no delta
         is lost.  Readers keep serving the old engine for the entire
-        duration of the copy + warm refit and switch only at the final
+        duration of the copy + refit and switch only at the final
         atomic publish.  If the refit raises, nothing is published and the
         error propagates.
         """

@@ -1,4 +1,4 @@
-"""Refresh semantics of the serving engine: deltas, warm starts and the cache.
+"""Refresh semantics of the serving engine: deltas, refits and the cache.
 
 The contract under test (see ``RewriteEngine.refresh``):
 
@@ -7,18 +7,19 @@ The contract under test (see ``RewriteEngine.refresh``):
 * a delta touching one component invalidates exactly that component's
   cached queries -- re-serving other components' queries is all cache hits,
   re-serving the touched component's is misses (asserted via ``CacheInfo``);
-* after a refresh, serving matches a from-scratch fit on the updated graph.
+* after a refresh, serving equals a from-scratch fit on the updated graph.
 """
 
 import pytest
 
 from repro.api.config import EngineConfig
 from repro.api.engine import RewriteEngine
+from repro.core import faults
 from repro.core.config import SimrankConfig
 from repro.graph.delta import ClickGraphDelta, DeltaBuilder
 from repro.synth.scenarios import multi_component_graph
 
-#: Tolerance-converged config so warm and cold fits agree to ~1e-7.
+#: Tolerance-converged config: the early exit must not change any answer.
 SIMILARITY = SimrankConfig(iterations=80, tolerance=1e-8, zero_evidence_floor=0.1)
 
 BACKENDS = ["sharded", "reference"]
@@ -126,7 +127,6 @@ class TestSelectiveInvalidation:
         engine.refresh(one_component_delta(engine.graph, component=1))
         assert engine.method.reused_shards == 3
         assert engine.method.refitted_shards == 1
-        assert engine.method.warm_started is True
 
     def test_added_edge_merging_components_invalidates_both(self):
         engine = build_engine(build_graph())
@@ -173,13 +173,7 @@ class TestRefreshServingCorrectness:
         fresh = build_engine(fresh_graph, backend=backend)
         engine.refresh(delta)
 
-        refreshed_profile = engine.serving_profile(queries)
-        fresh_profile = fresh.serving_profile(queries)
-        assert [row[:3] for row in refreshed_profile] == [
-            row[:3] for row in fresh_profile
-        ]
-        for refreshed_row, fresh_row in zip(refreshed_profile, fresh_profile):
-            assert refreshed_row[3] == pytest.approx(fresh_row[3], abs=1e-6)
+        assert engine.serving_profile(queries) == fresh.serving_profile(queries)
 
     def test_bounded_cache_refresh_keeps_lru_semantics(self):
         graph = build_graph()
@@ -195,12 +189,11 @@ class TestRefreshServingCorrectness:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_zero_tolerance_refresh_keeps_cache_exactly_consistent(self, backend):
-        """With tolerance=0 the refit is cold and kept entries stay *exact*.
+        """With tolerance=0 the kept cache entries stay *exact*.
 
-        The fixed-iteration-count result is defined from the identity start;
-        a seeded continuation would over-converge, so refresh must not seed
-        -- and then untouched components recompute bit-identically, making
-        every surviving cache entry equal to a fresh recompute.
+        The fixed-iteration-count result is defined from the identity start,
+        and untouched components recompute bit-identically, so every
+        surviving cache entry equals a fresh recompute.
         """
         graph = build_graph()
         config = EngineConfig(
@@ -215,24 +208,10 @@ class TestRefreshServingCorrectness:
         cached = {q: r.as_tuples() for q, r in zip(queries, engine.rewrite_batch(queries))}
 
         engine.refresh(one_component_delta(engine.graph, component=0))
-        assert engine.last_refresh.warm_started is False
         untouched = [q for q in queries if q not in component_queries(engine.graph, 0)]
         for query in untouched:
             recomputed = engine._rewriter.compute_rewrites(query).as_tuples()
             assert cached[query] == recomputed  # bit-identical, not approx
-
-    def test_warm_start_fit_requires_tolerance(self):
-        graph = build_graph()
-        engine = RewriteEngine.from_graph(
-            graph,
-            EngineConfig(
-                method="weighted_simrank",
-                similarity=SimrankConfig(iterations=7, zero_evidence_floor=0.1),
-            ),
-            bid_terms={str(q) for q in graph.queries()},
-        ).fit()
-        with pytest.raises(RuntimeError, match="tolerance"):
-            engine.fit(warm_start=True)
 
     def test_successive_refreshes_accumulate(self):
         graph = build_graph()
@@ -242,14 +221,12 @@ class TestRefreshServingCorrectness:
             delta = one_component_delta(engine.graph, component=component)
             engine.refresh(delta)
         fresh = build_engine(engine.graph.copy(), backend="sharded")
-        assert [row[:3] for row in engine.serving_profile(queries)] == [
-            row[:3] for row in fresh.serving_profile(queries)
-        ]
+        assert engine.serving_profile(queries) == fresh.serving_profile(queries)
 
 
 class TestOldSignatureMethods:
-    def test_cold_fit_stays_positional_for_legacy_methods(self):
-        """Methods overriding the pre-warm-start fit(graph) still cold-fit."""
+    def test_single_argument_fit_methods_fit_and_refresh(self):
+        """Methods overriding fit(graph) with one argument fit and refresh."""
         from repro.api.registry import register_method, unregister_method
         from repro.core.simrank_matrix import MatrixSimrank
 
@@ -267,42 +244,13 @@ class TestOldSignatureMethods:
                 EngineConfig(method="legacy_method", similarity=SIMILARITY),
                 bid_terms={str(q) for q in graph.queries()},
             ).fit()
-            assert engine.rewrite(sorted(graph.queries())[0]) is not None
-            # Warm paths do need the new signature and say so clearly.
-            with pytest.raises(TypeError):
-                engine.fit(warm_start=True)
+            queries = sorted(graph.queries())
+            assert engine.rewrite(queries[0]) is not None
+            engine.refresh(one_component_delta(engine.graph, component=0))
+            assert engine.last_refresh.refit is True
+            assert engine.rewrite(queries[0]) is not None
         finally:
             unregister_method("legacy_method")
-
-    def test_failed_refresh_rolls_the_delta_back(self):
-        """A refit failure mid-refresh must not leave the graph mutated."""
-        from repro.api.registry import register_method, unregister_method
-        from repro.core.simrank_matrix import MatrixSimrank
-
-        class LegacyMethod(MatrixSimrank):
-            def fit(self, graph):  # warm refits pass a keyword: TypeError
-                return super().fit(graph)
-
-        register_method("legacy_refresh_method", backends=("matrix",))(
-            lambda config, backend: LegacyMethod(config=config)
-        )
-        try:
-            graph = build_graph()
-            engine = RewriteEngine.from_graph(
-                graph.copy(),
-                EngineConfig(method="legacy_refresh_method", similarity=SIMILARITY),
-                bid_terms={str(q) for q in graph.queries()},
-            ).fit()
-            queries = sorted(graph.queries())
-            before = engine.serving_profile(queries)
-            delta = one_component_delta(engine.graph, component=0)
-            with pytest.raises(TypeError):
-                engine.refresh(delta)
-            assert engine.graph == graph  # delta rolled back
-            assert engine.serving_profile(queries) == before
-            engine.refresh(delta.__class__())  # engine still consistent
-        finally:
-            unregister_method("legacy_refresh_method")
 
 
 class TestRefreshErrors:
@@ -314,35 +262,35 @@ class TestRefreshErrors:
         with pytest.raises(RuntimeError, match="not been fitted"):
             engine.refresh(ClickGraphDelta())
 
-    def test_rejected_warm_fit_does_not_rebind_the_graph(self, tmp_path):
-        """A refused fit(warm_start=True) must leave engine.graph untouched."""
-        engine = build_engine(build_graph())
-        engine.save(tmp_path / "snap")
-        loaded = RewriteEngine.load(tmp_path / "snap")
-        # Force the tolerance guard: a zero-tolerance config rejects seeding.
-        loaded.config = loaded.config.replace(
-            similarity=SimrankConfig(iterations=7, zero_evidence_floor=0.1)
-        )
-        other = build_graph()
-        with pytest.raises(RuntimeError, match="tolerance"):
-            loaded.fit(other, warm_start=True)
-        assert loaded.graph is None  # never rebound to the rejected graph
-
     def test_snapshot_engine_without_graph_rejects_refresh(self, tmp_path):
         engine = build_engine(build_graph())
         engine.save(tmp_path / "snap")
         loaded = RewriteEngine.load(tmp_path / "snap")
         delta = ClickGraphDelta(removed=(("c0_q0", "c0_a0"),))
-        with pytest.raises(RuntimeError, match="warm_start"):
+        with pytest.raises(RuntimeError, match=r"fit\(graph\)"):
             loaded.refresh(delta)
 
-    def test_warm_start_fit_requires_previous_scores(self):
+    def test_failed_refresh_rolls_the_delta_back(self):
+        """A refit failure mid-refresh leaves graph, scores and cache as before."""
         graph = build_graph()
-        engine = RewriteEngine.from_graph(
-            graph, EngineConfig(method="weighted_simrank", similarity=SIMILARITY)
-        )
-        with pytest.raises(RuntimeError, match="warm_start"):
-            engine.fit(warm_start=True)
+        engine = build_engine(graph.copy())
+        queries = sorted(graph.queries())
+        before = engine.serving_profile(queries)
+        info_before = engine.cache_info()
+        delta = one_component_delta(engine.graph, component=0)
+
+        plan = faults.FaultPlan([faults.FaultSpec("shard.fit", error="injected")])
+        with plan, pytest.raises(faults.FaultError, match="injected"):
+            engine.refresh(delta)
+        assert plan.fire_count("shard.fit") == 1
+        assert engine.graph == graph  # delta rolled back
+        assert engine.last_refresh is None
+        assert engine.cache_info() == info_before
+        assert engine.serving_profile(queries) == before
+
+        engine.refresh(delta)  # the same refresh succeeds on retry
+        fresh = build_engine(graph.copy().apply_delta(delta))
+        assert engine.serving_profile(queries) == fresh.serving_profile(queries)
 
     def test_mismatched_delta_leaves_engine_consistent(self):
         engine = build_engine(build_graph())

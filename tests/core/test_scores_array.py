@@ -241,7 +241,7 @@ class TestDictArrayConversion:
 
 
 class TestBlocks:
-    """Layout contracts the snapshot writer and the warm start rely on."""
+    """Layout contracts the snapshot writer relies on."""
 
     @pytest.fixture
     def two_blocks(self):
@@ -270,16 +270,11 @@ class TestBlocks:
         upper = np.triu(raw, k=1)
         assert np.array_equal(np.triu(matrix, k=1), upper)
 
-    def test_submatrix_reads_only_the_requested_nodes(self, two_blocks):
-        seed = two_blocks.submatrix(["e", "unknown", "a", "c", "d"])
-        expected = np.zeros((5, 5))
-        expected[0, 4] = expected[4, 0] = 0.75  # e-d
-        expected[2, 3] = expected[3, 2] = 0.25  # a-c
-        assert np.array_equal(seed, expected)
-
     def test_max_difference_across_block_layouts(self, two_blocks):
         # The same scores in a single block: the generic path must agree.
-        single = two_blocks.submatrix(two_blocks.index)
+        single = np.zeros((5, 5))
+        single[:3, :3] = two_blocks.blocks[0][0]
+        single[3:, 3:] = two_blocks.blocks[1][0]
         merged = ArraySimilarityScores([(single, two_blocks.index)])
         assert two_blocks.max_difference(merged) == 0.0
         assert merged.max_difference(two_blocks) == 0.0

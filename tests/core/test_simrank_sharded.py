@@ -66,7 +66,7 @@ class TestIterationsRun:
         changed.add_edge(
             "c0_q0", "c0_a0", impressions=stats.impressions + 5, clicks=stats.clicks
         )
-        method.fit(changed, initial_scores=method.similarities())
+        method.fit(changed)
         assert method.reused_shards == 3
         counts = [shard.iterations_run for shard in method._shard_methods]
         assert method.iterations_run == max(counts)
@@ -215,7 +215,7 @@ class _FailingFitInjector:
             injector.builds += 1
             inner_fit = inner.fit
 
-            def wrapped_fit(graph, initial_scores=None):
+            def wrapped_fit(graph):
                 injector.fit_starts.append(build_id)
                 if build_id == injector.fail_on:
                     raise RuntimeError("injected shard failure")
@@ -223,7 +223,7 @@ class _FailingFitInjector:
                     import time
 
                     time.sleep(injector.delay)
-                return inner_fit(graph, initial_scores=initial_scores)
+                return inner_fit(graph)
 
             inner.fit = wrapped_fit
             return inner

@@ -1,11 +1,12 @@
-"""The process-pool executor and in-place warm refits are score-equivalent.
+"""The process-pool executor and in-place refits are score-equivalent.
 
 The standing backend matrix fits every backend serially on fresh instances;
 this module adds the paths it does not reach: fits executed on the *process*
 pool (true multi-core, picklable payloads crossing the process boundary) and
-warm refits of an already-fitted sharded instance, where untouched components
+refits of an already-fitted sharded instance, where untouched components
 are reused verbatim.  Equivalence here means the same 1e-6 tolerance as the
-rest of the harness, for scores and for served rewrites.
+rest of the harness, for scores and for served rewrites; a refit must equal
+a cold fit exactly.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from repro.core.simrank_matrix import MatrixSimrank
 from repro.graph.delta import DeltaBuilder
 from repro.synth.scenarios import multi_component_graph
 
-#: Converged configuration (mirrors test_warm_start_equivalence): cold and
-#: warm fits both reach the tolerance, so they must agree at the fixpoint.
+#: Converged configuration: the pooled fits and the whole-graph dense
+#: kernel both reach the tolerance, so they must agree at the fixpoint.
 CONVERGED = SimrankConfig(
     c1=0.8, c2=0.8, iterations=120, tolerance=1e-9, zero_evidence_floor=0.1
 )
@@ -70,18 +71,17 @@ def test_pooled_fit_matches_the_dense_kernel(executor, mode):
 
 @pytest.mark.timeout(300)
 @pytest.mark.parametrize("mode", MODES)
-def test_in_place_warm_refit_reuses_clean_shards_and_agrees_with_cold_fit(mode):
+def test_in_place_refit_reuses_clean_shards_and_equals_cold_fit(mode):
     old, new = perturbed_pair()
     method = create(mode, config=CONVERGED, backend="sharded").fit(old)
-    method.fit(new, initial_scores=method.similarities())
-    assert method.warm_started is True
+    method.fit(new)
     # c0/c1 touched and the edge removal splits c2 in two: 4 dirty fits,
     # while c3/c4 are reused verbatim.
     assert method.reused_shards == 2
     assert method.refitted_shards == 4
 
     cold = create(mode, config=CONVERGED, backend="sharded").fit(new)
-    assert method.similarities().max_difference(cold.similarities()) < TOLERANCE
+    assert method.similarities().max_difference(cold.similarities()) == 0.0
 
 
 @pytest.mark.timeout(300)

@@ -202,64 +202,6 @@ class TestHarnessOptions:
         engine = reshaped._fitted_engine("weighted_simrank", dataset)
         assert engine.graph is dataset  # fitted fresh on the unpartitioned dataset
 
-    def test_refresh_from_warm_starts_across_dataset_change(
-        self, tiny_workload, tmp_path
-    ):
-        """refresh_engines_from seeds a warm refit where load_ would refuse."""
-        snapshot_dir = tmp_path / "engines"
-        kwargs = dict(
-            workload=tiny_workload,
-            methods=["weighted_simrank"],
-            config=SimrankConfig(
-                iterations=30, tolerance=1e-8, zero_evidence_floor=0.05
-            ),
-            desirability_cases=0,
-            max_evaluation_queries=10,
-            traffic_sample_size=100,
-        )
-        ExperimentHarness(
-            use_partitioning=True, save_engines_to=snapshot_dir, **kwargs
-        ).run()
-        # Different dataset shape: the fingerprint no longer matches, so the
-        # exact-load path would refit cold -- the refresh path warm-starts.
-        reshaped = ExperimentHarness(
-            use_partitioning=False, refresh_engines_from=snapshot_dir, **kwargs
-        )
-        dataset = reshaped._combine(reshaped.build_subgraphs())
-        engine = reshaped._fitted_engine("weighted_simrank", dataset)
-        assert engine.graph is dataset  # refit on the new dataset...
-        assert engine.method.warm_started is True  # ...seeded by the snapshot
-
-    def test_refresh_from_ignores_config_mismatch(self, tiny_workload, tmp_path):
-        """A snapshot under different similarity knobs never seeds a refit."""
-        snapshot_dir = tmp_path / "engines"
-        kwargs = dict(
-            workload=tiny_workload,
-            methods=["weighted_simrank"],
-            desirability_cases=0,
-            max_evaluation_queries=10,
-            traffic_sample_size=100,
-        )
-        # Positive tolerance on both sides: the warm path's tolerance guard
-        # must not short-circuit before the config comparison under test.
-        ExperimentHarness(
-            config=SimrankConfig(
-                iterations=3, tolerance=1e-8, zero_evidence_floor=0.05
-            ),
-            save_engines_to=snapshot_dir,
-            **kwargs,
-        ).run()
-        changed = ExperimentHarness(
-            config=SimrankConfig(
-                iterations=5, tolerance=1e-8, zero_evidence_floor=0.05
-            ),
-            refresh_engines_from=snapshot_dir,
-            **kwargs,
-        )
-        dataset = changed._combine(changed.build_subgraphs())
-        engine = changed._fitted_engine("weighted_simrank", dataset)
-        assert engine.method.warm_started is False  # cold fit, no stale seed
-
     def test_damaged_snapshots_fall_back_to_fitting(self, tiny_workload, tmp_path):
         """A matching-but-corrupt snapshot must not abort the run."""
         snapshot_dir = tmp_path / "engines"

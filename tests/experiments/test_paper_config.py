@@ -58,7 +58,7 @@ def test_serve_fit_config_is_the_preset_with_its_refresh_tolerance(
     with pytest.raises(_Captured):
         serving_app.build_engine(args)
     similarity = captured["config"].similarity
-    # serve only raises the tolerance, so that /refresh can warm-start.
+    # serve only raises the tolerance, an early exit.
     assert similarity.tolerance > 0
     assert dataclasses.replace(similarity, tolerance=PAPER_CONFIG.tolerance) == PAPER_CONFIG
 

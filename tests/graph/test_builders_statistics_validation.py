@@ -139,11 +139,11 @@ class TestSampling:
         assert len(sample) == len(set(sample))
 
     def test_empty_traffic(self):
-        assert sample_queries_by_traffic([], 10) == []
+        assert sample_queries_by_traffic([], 10, rng=random.Random(0)) == []
 
     def test_negative_sample_size_rejected(self):
         with pytest.raises(ValueError):
-            sample_queries_by_traffic(["a"], -1)
+            sample_queries_by_traffic(["a"], -1, rng=random.Random(0))
 
     def test_intersect_with_graph(self, fig3_graph):
         kept = intersect_with_graph(["camera", "unknown query", "flower"], fig3_graph)

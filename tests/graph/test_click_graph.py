@@ -155,6 +155,18 @@ class TestClickGraphDerivation:
         assert clone != fig3_graph
         assert fig3_graph.has_edge("camera", "hp.com")
 
+    def test_copy_keeps_both_sides_adjacency_order(self):
+        """An ad's queries keep their insertion order, not query-major order."""
+        graph = ClickGraph()
+        graph.add_edge("q1", "a1")
+        graph.add_edge("q2", "a2")
+        graph.add_edge("q2", "a1")
+        graph.add_edge("q1", "a2")
+        clone = graph.copy()
+        for ad in ("a1", "a2"):
+            assert list(clone.queries_of(ad)) == list(graph.queries_of(ad))
+        assert list(clone.edges()) == list(graph.edges())
+
     def test_subgraph_keeps_only_selected_nodes(self, fig3_graph):
         sub = fig3_graph.subgraph(queries=["camera", "digital camera"])
         assert set(sub.queries()) == {"camera", "digital camera"}
